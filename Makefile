@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race crash compact-crash bench bench-json bench-gate fuzz ci
+.PHONY: all build test vet race crash compact-crash bench bench-smoke bench-json bench-gate fuzz ci
 
 all: ci
 
@@ -48,6 +48,13 @@ compact-crash:
 bench:
 	$(GO) test -bench=. -benchmem .
 
+# The benchmark's smoke test (about 5 s): both bench/ workloads at tiny
+# scale, traced and untraced. bench/ is a module of its own, so the
+# root's ./... does not reach it.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 # The committed perf trajectory: the pambench perf suite (ns/op,
 # allocs/op, dynamic query-tail p50/p99) as a JSON artifact. CI uploads
 # it; bump the filename each PR that re-measures.
@@ -80,4 +87,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME) -run '^$$' ./serve
 	$(GO) test -fuzz=FuzzCompactDecode -fuzztime=$(FUZZTIME) -run '^$$' ./serve
 
-ci: vet build test race
+ci: vet build test race bench-smoke

@@ -70,15 +70,20 @@ func (c *Cursor[K, V, A, T]) Next() (k K, v V, ok bool) {
 }
 
 // SeekGE repositions the cursor so that the next emitted entry is the
-// first one with key >= target. O(log n).
+// first one with key >= target. O(log n) comparisons and at most one
+// block decode: the landing block is decoded once into the scratch
+// buffer (a compressed leaf) and binary-searched there.
 func (c *Cursor[K, V, A, T]) SeekGE(t Tree[K, V, A, T], target K) {
 	c.stack = c.stack[:0]
 	c.leafItems = nil
 	n := t.root
 	for n != nil {
 		if isLeaf(n) {
-			if i, _ := c.o.leafBound(n, target); i < leafLen(n) {
-				c.setLeaf(n, i)
+			c.setLeaf(n, 0)
+			if i, _ := c.o.leafSearch(c.leafItems, target); i < len(c.leafItems) {
+				c.leafIdx = i
+			} else {
+				c.leafItems = nil
 			}
 			return
 		}

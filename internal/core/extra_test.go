@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -374,53 +376,83 @@ func TestReleaseParallel(t *testing.T) {
 	}
 }
 
+// TestCursor checks Cursor on flat leaves and on compressed ones, which
+// decode into the cursor's scratch buffer instead of being read in
+// place (block sizes 1, 2 and 32; full blocks from BuildSorted, partial
+// ones from random-order inserts; negative keys for wrap-around key
+// images). A full scan equals Entries, and one cursor, reused across
+// every seek, lands SeekGE at every stored key, in every gap between
+// two keys (inside a block or across a block boundary), before the
+// first key and past the last, then keeps walking in order.
 func TestCursor(t *testing.T) {
 	forAllSchemes(t, func(t *testing.T, sch Scheme) {
 		rng := rand.New(rand.NewSource(65))
-		tr, m := fromKeysBulk(sch, randKeys(rng, 800, 3000))
-		// Full scan matches Entries.
-		want := tr.Entries()
-		c := tr.Cursor()
-		for i := 0; ; i++ {
-			k, v, ok := c.Next()
-			if !ok {
-				if i != len(want) {
-					t.Fatalf("cursor ended at %d of %d", i, len(want))
+		flat, _ := fromKeysBulk(sch, randKeys(rng, 800, 3000))
+		trees := map[string]sumTree{"flat": flat}
+		for _, b := range []int{1, 2, DefaultBlock} {
+			items := make([]Entry[int, int64], 600)
+			k := -900
+			for i := range items {
+				k += 2 + rng.Intn(3) // every key has a gap on both sides
+				items[i] = Entry[int, int64]{Key: k, Val: int64(rng.Intn(1000) - 500)}
+			}
+			inserted := newSumComp(sch, b)
+			for _, i := range rng.Perm(len(items)) {
+				inserted = inserted.Insert(items[i].Key, items[i].Val)
+			}
+			trees[fmt.Sprintf("compressed-b%d-built", b)] = newSumComp(sch, b).BuildSorted(items)
+			trees[fmt.Sprintf("compressed-b%d-inserted", b)] = inserted
+		}
+		for name, tr := range trees {
+			want := tr.Entries()
+			c := tr.Cursor()
+			for i := 0; ; i++ {
+				k, v, ok := c.Next()
+				if !ok {
+					if i != len(want) {
+						t.Fatalf("%s: cursor ended at %d of %d", name, i, len(want))
+					}
+					break
 				}
-				break
-			}
-			if want[i].Key != k || want[i].Val != v {
-				t.Fatalf("cursor[%d] = %d=%d want %v", i, k, v, want[i])
-			}
-		}
-		// SeekGE to random targets.
-		for trial := 0; trial < 100; trial++ {
-			target := rng.Intn(3200) - 100
-			c.SeekGE(tr, target)
-			k, _, ok := c.Next()
-			// Expected: smallest key >= target.
-			wantK, wantOK := 1<<31, false
-			for kk := range m {
-				if kk >= target && kk < wantK {
-					wantK, wantOK = kk, true
+				if i >= len(want) || want[i].Key != k || want[i].Val != v {
+					t.Fatalf("%s: cursor[%d] = %d=%d", name, i, k, v)
 				}
 			}
-			if ok != wantOK || (ok && k != wantK) {
-				t.Fatalf("SeekGE(%d) -> %d,%v want %d,%v", target, k, ok, wantK, wantOK)
+			targets := []int{want[0].Key - 100, want[len(want)-1].Key + 100}
+			for _, e := range want {
+				targets = append(targets, e.Key-1, e.Key, e.Key+1)
 			}
-		}
-		// Cursor survives later updates (persistence).
-		c.SeekGE(tr, -1000)
-		_ = tr.Insert(99999, 1)
-		count := 0
-		for {
-			if _, _, ok := c.Next(); !ok {
-				break
+			for _, target := range targets {
+				c.SeekGE(tr, target)
+				i, _ := slices.BinarySearchFunc(want, target, func(e Entry[int, int64], k int) int { return cmp.Compare(e.Key, k) })
+				// The landing entry and the two after it, which may sit
+				// in the next block.
+				for j := i; j < i+3; j++ {
+					k, v, ok := c.Next()
+					if ok != (j < len(want)) {
+						t.Fatalf("%s: SeekGE(%d) step %d: ok=%v with %d entries", name, target, j-i, ok, len(want))
+					}
+					if !ok {
+						break
+					}
+					if k != want[j].Key || v != want[j].Val {
+						t.Fatalf("%s: SeekGE(%d) step %d = %d=%d, want %v", name, target, j-i, k, v, want[j])
+					}
+				}
 			}
-			count++
-		}
-		if count != len(want) {
-			t.Fatalf("cursor over snapshot saw %d entries, want %d", count, len(want))
+			// Cursor survives later updates (persistence).
+			c.SeekGE(tr, -1000)
+			_ = tr.Insert(99999, 1)
+			count := 0
+			for {
+				if _, _, ok := c.Next(); !ok {
+					break
+				}
+				count++
+			}
+			if count != len(want) {
+				t.Fatalf("%s: cursor over snapshot saw %d entries, want %d", name, count, len(want))
+			}
 		}
 		// Empty tree cursor.
 		var empty sumTree

@@ -61,7 +61,9 @@ func pickTuning(tuning []Tuning) Tuning {
 // deterministic. With hash partitioning the shards hold interleaved key
 // ranges, so View.AugVal and View.AugRange additionally require Combine
 // to be commutative (true of the ready-made entries); range queries and
-// ordered iteration remain correct regardless via the merged iterator.
+// ordered iteration remain correct regardless via the merged iterator,
+// which k-way merges one cursor per shard: O(s·log n + k·s) for k
+// visited entries over s shards.
 // An optional Tuning configures the async pipeline (Tuning.AutoRebalance
 // is ignored: hash stores do not rebalance). Returns ErrNoShards when
 // shards < 1.

@@ -1,6 +1,9 @@
 package serve
 
-import "repro/pam"
+import (
+	"repro/internal/core"
+	"repro/pam"
+)
 
 // View is a consistent cross-shard snapshot of a Store: one frozen
 // persistent map per shard, assembled at a single point of the global
@@ -85,34 +88,23 @@ func (v View[K, V, A, E]) AugRange(lo, hi K) A {
 	return a
 }
 
-// cursor is one shard's position in the merged iteration.
-type cursor[K, V any] struct {
-	k  K
-	v  V
-	ok bool
-}
-
-// seekCursor positions a cursor at the first entry with key >= lo (nil
-// lo: the shard's first entry).
-func seekCursor[K, V, A any, E pam.Aug[K, V, A]](m pam.AugMap[K, V, A, E], lo *K) cursor[K, V] {
-	if lo == nil {
-		k, val, ok := m.First()
-		return cursor[K, V]{k: k, v: val, ok: ok}
-	}
-	if val, ok := m.Find(*lo); ok {
-		return cursor[K, V]{k: *lo, v: val, ok: true}
-	}
-	k, val, ok := m.Next(*lo)
-	return cursor[K, V]{k: k, v: val, ok: ok}
+// head is one shard's cursor in the merged iteration of a
+// hash-partitioned view, with the entry it emits next.
+type head[K, V, A any, E pam.Aug[K, V, A]] struct {
+	c *core.Cursor[K, V, A, E]
+	k K
+	v V
 }
 
 // forEachMerged visits entries in ascending key order, starting at lo
 // (nil: the smallest key) and stopping after hi (nil: the largest),
 // until visit returns false. Range-partitioned shards are already
 // disjoint ascending key ranges, so they iterate natively one after
-// another at O(1) amortized per entry; hash-partitioned shards pay a
-// k-way merge — O(shards) key comparisons plus one O(log n) successor
-// lookup per visited entry.
+// another at O(1) amortized per entry. Hash-partitioned shards are
+// k-way merged over one core cursor per shard: one O(log n) seek per
+// shard, then s−1 key comparisons plus one bound check per visited
+// entry, each leaf block decoded once — O(s·log n + k·s) for k visited
+// entries over s shards.
 func (v View[K, V, A, E]) forEachMerged(lo, hi *K, visit func(K, V) bool) {
 	var e E
 	if v.ranged {
@@ -137,31 +129,39 @@ func (v View[K, V, A, E]) forEachMerged(lo, hi *K, visit func(K, V) bool) {
 		}
 		return
 	}
-	cur := make([]cursor[K, V], len(v.shards))
-	for i, m := range v.shards {
-		cur[i] = seekCursor(m, lo)
+	// Exhausted shards drop out, so every head holds a live entry.
+	heads := make([]head[K, V, A, E], 0, len(v.shards))
+	for _, m := range v.shards {
+		t := m.Tree()
+		c := t.Cursor()
+		if lo != nil {
+			c.SeekGE(t, *lo)
+		}
+		if k, val, ok := c.Next(); ok {
+			heads = append(heads, head[K, V, A, E]{c: c, k: k, v: val})
+		}
 	}
-	for {
-		best := -1
-		for i := range cur {
-			if cur[i].ok && (best < 0 || e.Less(cur[i].k, cur[best].k)) {
+	for len(heads) > 0 {
+		best := 0
+		for i := 1; i < len(heads); i++ {
+			if e.Less(heads[i].k, heads[best].k) {
 				best = i
 			}
 		}
-		if best < 0 {
-			return
-		}
-		c := cur[best]
-		// c.k is the global minimum of the remaining entries, so once it
+		h := &heads[best]
+		// h.k is the global minimum of the remaining entries, so once it
 		// passes hi, everything else does too.
-		if hi != nil && e.Less(*hi, c.k) {
+		if hi != nil && e.Less(*hi, h.k) {
 			return
 		}
-		if !visit(c.k, c.v) {
+		if !visit(h.k, h.v) {
 			return
 		}
-		k, val, ok := v.shards[best].Next(c.k)
-		cur[best] = cursor[K, V]{k: k, v: val, ok: ok}
+		var ok bool
+		if h.k, h.v, ok = h.c.Next(); !ok {
+			heads[best] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
 	}
 }
 
@@ -177,7 +177,8 @@ func (v View[K, V, A, E]) ForEachRange(lo, hi K, visit func(K, V) bool) {
 
 // Entries materializes all entries in ascending key order. For
 // range-partitioned stores this concatenates the shards' parallel
-// Entries; hash-partitioned stores pay the merged iteration.
+// Entries; hash-partitioned stores pay the merged iteration,
+// O(s·log n + n·s) for n entries over s shards.
 func (v View[K, V, A, E]) Entries() []pam.KV[K, V] {
 	out := make([]pam.KV[K, V], 0, v.Size())
 	if v.ranged {
