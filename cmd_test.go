@@ -1,9 +1,17 @@
 package repro
 
 import (
+	"errors"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/seq"
+	"repro/pam"
+	"repro/rangetree"
+	"repro/serve"
 )
 
 // Subprocess smoke tests: the two CLI tools and every example build and
@@ -39,6 +47,77 @@ func TestPambenchCLI(t *testing.T) {
 	out = runGo(t, "run", "./cmd/pambench", "-exp", "table2", "-n", "50000", "-csv")
 	if !strings.Contains(out, "Operation,Bound") {
 		t.Fatalf("csv output unexpected:\n%s", out)
+	}
+}
+
+// TestPamverifyCLI runs the offline verifier on a DurableStore directory
+// and a DurablePointStore directory: each verifies clean (exit 0), and
+// after one checkpoint byte is flipped it exits 1 naming the file.
+func TestPamverifyCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	mapDir, pointDir := t.TempDir(), t.TempDir()
+	d, err := serve.OpenDurableStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](
+		pam.Options{}, 2, seq.Mix64, pam.Uint64Codec(), serve.DurableConfig{FS: serve.OSFS{Dir: mapDir}})
+	if err != nil {
+		t.Fatalf("OpenDurableStore: %v", err)
+	}
+	p, err := serve.OpenDurablePointStore(pam.Options{}, []float64{8}, serve.DurableConfig{FS: serve.OSFS{Dir: pointDir}})
+	if err != nil {
+		t.Fatalf("OpenDurablePointStore: %v", err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := d.Put(uint64(i), int64(i)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if _, err := p.Insert(rangetree.Point{X: float64(i % 16), Y: float64(i)}, 1); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		if i%15 == 14 {
+			if _, err := d.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			if _, err := p.Checkpoint(); err != nil {
+				t.Fatalf("point Checkpoint: %v", err)
+			}
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("point Close: %v", err)
+	}
+
+	pamverify := func(dir string) (int, string) {
+		out, err := exec.Command("go", "run", "./cmd/pamverify", "-dir", dir).CombinedOutput()
+		var exit *exec.ExitError
+		switch {
+		case err == nil:
+			return 0, string(out)
+		case errors.As(err, &exit):
+			return exit.ExitCode(), string(out)
+		}
+		t.Fatalf("go run ./cmd/pamverify -dir %s: %v\n%s", dir, err, out)
+		return 0, ""
+	}
+	for _, dir := range []string{mapDir, pointDir} {
+		if code, out := pamverify(dir); code != 0 || !strings.Contains(out, "files") {
+			t.Fatalf("clean %s: exit %d\n%s", dir, code, out)
+		}
+		victim := filepath.Join(dir, "ckpt-000002")
+		data, err := os.ReadFile(victim)
+		if err != nil {
+			t.Fatalf("ReadFile: %v", err)
+		}
+		data[len(data)/2] ^= 0x10
+		if err := os.WriteFile(victim, data, 0o644); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		if code, out := pamverify(dir); code != 1 || !strings.Contains(out, "CORRUPT ckpt-000002") {
+			t.Fatalf("flipped %s: exit %d\n%s", victim, code, out)
+		}
 	}
 }
 

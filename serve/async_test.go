@@ -192,6 +192,11 @@ func TestErrClosedSticky(t *testing.T) {
 		t.Fatalf("openDurSum: %v", err)
 	}
 	d.Close()
+	dp, err := OpenDurablePointStore(pam.Options{}, []float64{0}, DurableConfig{FS: NewMemFS()})
+	if err != nil {
+		t.Fatalf("OpenDurablePointStore: %v", err)
+	}
+	dp.Close()
 	p := rangetree.Point{X: 1, Y: 2}
 	for _, tc := range []struct {
 		name string
@@ -215,6 +220,12 @@ func TestErrClosedSticky(t *testing.T) {
 		{"durable/PutAsync", func() error { _, err := d.PutAsync(1, 1); return err }},
 		{"durable/Delete", func() error { _, err := d.Delete(1); return err }},
 		{"durable/DeleteAsync", func() error { _, err := d.DeleteAsync(1); return err }},
+		{"durablepoints/Apply", func() error { _, err := dp.Apply([]PointOp{InsertPoint(p, 1)}); return err }},
+		{"durablepoints/ApplyAsync", func() error { _, err := dp.ApplyAsync(nil); return err }},
+		{"durablepoints/Insert", func() error { _, err := dp.Insert(p, 1); return err }},
+		{"durablepoints/InsertAsync", func() error { _, err := dp.InsertAsync(p, 1); return err }},
+		{"durablepoints/Delete", func() error { _, err := dp.Delete(p); return err }},
+		{"durablepoints/DeleteAsync", func() error { _, err := dp.DeleteAsync(p); return err }},
 		{"store/Snapshot", func() error { _, err := kv.Snapshot(); return err }},
 		{"store/Rebalance", func() error {
 			s := NewRangeStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](pam.Options{}, []uint64{10})
@@ -227,9 +238,13 @@ func TestErrClosedSticky(t *testing.T) {
 		{"durable/Snapshot", func() error { _, err := d.Snapshot(); return err }},
 		{"durable/Checkpoint", func() error { _, err := d.Checkpoint(); return err }},
 		{"durable/Compact", func() error { _, err := d.Compact(); return err }},
+		{"durablepoints/Snapshot", func() error { _, err := dp.Snapshot(); return err }},
+		{"durablepoints/Checkpoint", func() error { _, err := dp.Checkpoint(); return err }},
+		{"durablepoints/Compact", func() error { _, err := dp.Compact(); return err }},
 		{"store/ReaderView", func() error { _, err := kv.ReaderView(); return err }},
 		{"points/ReaderView", func() error { _, err := pt.ReaderView(); return err }},
 		{"durable/ReaderView", func() error { _, err := d.ReaderView(); return err }},
+		{"durablepoints/ReaderView", func() error { _, err := dp.ReaderView(); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := tc.call(); !errors.Is(err, ErrClosed) {

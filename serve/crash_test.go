@@ -369,11 +369,19 @@ func runPointCrashSchedule(t *testing.T, seed int64) {
 	shards := 1 + rng.Intn(2)
 	splits := []float64{8, 16}[:shards-1]
 	writers := 1 + rng.Intn(2)
+	every := rng.Intn(4) * 3 // 0 disables automatic checkpoints
+	var tuning Tuning
+	if rng.Intn(2) == 0 {
+		// Background carries put the automatic checkpoints (taken on the
+		// resolver) next to in-flight carry merges when the kill lands.
+		tuning = crashTuning(rng)
+		tuning.CarryWorkers = 1
+	}
 
 	open := func(f FS) (*DurablePointStore, error) {
 		return OpenDurablePointStore(pam.Options{}, splits, DurableConfig{FS: f})
 	}
-	d, err := open(fs)
+	d, err := OpenDurablePointStore(pam.Options{}, splits, DurableConfig{FS: fs, CheckpointEvery: every, Tuning: tuning})
 	if err != nil {
 		t.Fatalf("initial open: %v", err)
 	}

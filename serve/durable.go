@@ -16,15 +16,23 @@ import (
 	"repro/pam"
 )
 
-// Durable serving: incremental block checkpoints plus the
-// sequencer-granularity WAL (wal.go), glued by a recovery protocol that
-// restores exactly an acknowledged-closed prefix of the write sequence,
-// with chain compaction (bounded recovery), Merkle root digests (tamper
-// evidence), and a scrub/repair pipeline (self-healing) on top.
+// Durable serving: one durability engine — the durable core below,
+// embedded by both DurableStore and DurablePointStore next to their
+// store — that glues the sequencer-granularity WAL (wal.go) and a
+// checkpoint format by a recovery protocol restoring exactly an
+// acknowledged-closed prefix of the write sequence, with compaction
+// (bounded recovery), root digests (tamper evidence), and a scrub/repair
+// pipeline (self-healing, scrub.go) on top. Each lifecycle step is
+// implemented once; a flavour plugs in only its WAL op codec and its
+// checkpoint format (ckptFormat). There are two formats: DurableStore
+// writes the incremental PAMCKPT2 record chain described below, and
+// DurablePointStore writes standalone PAMPTCK2 ladder files, each file
+// its own base (durablepoints.go).
 //
 // On-disk layout (one flat FS namespace per store):
 //
-//	ckpt-%06d   checkpoint files — an incremental chain for DurableStore
+//	ckpt-%06d   checkpoint files — a chain: a base holding the whole
+//	            state, then increments on top of it
 //	wal-%06d    WAL generation g: the batches sequenced between
 //	            checkpoint g and checkpoint g+1
 //	*.tmp       scratch for atomic publication (write + sync + rename);
@@ -50,16 +58,16 @@ import (
 // mismatch, so any bit flip — in a key, value, aux, or child reference
 // — is a detected error, not silent corruption, even past the CRC.
 //
-// Recovery decodes the newest intact chain (newest base onward) into
-// one table, takes the last file's per-shard roots, replays the WAL
-// generations from the last checkpoint on top, and reseeds the
-// encoder's record set from the decoded table so the chain continues
-// incrementally across restarts. A corrupt chain file is quarantined
-// and recovery falls back to the prefix before it (or an older base)
-// plus WAL replay; the gapless-sequence check and the
-// highest-known-sequence bound guarantee the fallback never silently
-// loses an acknowledged batch — if the surviving files cannot cover the
-// sequence, open fails loudly.
+// Recovery decodes the newest intact chain (newest base onward), takes
+// the last file's shard states, replays the WAL generations from the
+// last checkpoint on top, and resumes the chain (a DurableStore reseeds
+// its encoder's record set from the decoded table, so checkpoints stay
+// incremental across restarts). A corrupt chain file is quarantined and
+// recovery falls back to the prefix before it (or an older base) plus
+// WAL replay; the gapless-sequence check and the highest-known-sequence
+// bound guarantee the fallback never silently loses an acknowledged
+// batch — if the surviving files cannot cover the sequence, open fails
+// loudly.
 //
 // Crash-safety invariants:
 //
@@ -69,9 +77,10 @@ import (
 //     gapless prefix extending past every acknowledged batch.
 //   - A checkpoint (and a compaction) is published by rename after a
 //     full sync; a crash mid-publish leaves the previous chain + WAL
-//     intact. Compact deletes the superseded chain and WAL generations
-//     only after the new base is published, so a crash at any point
-//     leaves either the old chain whole or the new base recoverable.
+//     intact. Superseded checkpoint files and WAL generations are
+//     deleted only after the new file is published, so a crash at any
+//     point leaves either the old chain whole or the new base
+//     recoverable.
 //   - WAL generations are flushed strictly in order, so recovery's
 //     stop-at-first-torn-record rule drops only unacknowledged batches.
 
@@ -206,29 +215,48 @@ type RecoveryStats struct {
 	Repaired bool
 }
 
-// DurableStore wraps a hash-partitioned Store with a write-ahead log
-// and incremental block checkpoints. Apply acknowledges a batch only
-// once its WAL record is fsynced (group commit across concurrent
-// writers); OpenDurableStore recovers the latest checkpoint plus the
-// WAL suffix — a gapless prefix of the write sequence containing every
-// batch ever acknowledged, possibly followed by durable-but-unobserved
-// batches that crashed mid-acknowledgment.
-//
-// The same opts, shard count, hash, and codec must be passed at every
-// reopen; they are the store's schema, not part of the files.
-// Serialization requires opts.Pool == false. All methods are safe for
-// concurrent use.
-type DurableStore[K, V, A any, E pam.Aug[K, V, A]] struct {
-	s     *Store[K, V, A, E]
-	fs    FS
-	w     *wal[Op[K, V]]
-	codec *pam.Codec[K, V]
-	opts  pam.Options // the tree schema, needed to re-decode chains (Verify)
+// ckptFormat is the checkpoint half of a durable flavour: how shard
+// states of type T are written to ckpt-* files and read back. The core
+// calls encode, and runs its commit, under the checkpoint lock.
+type ckptFormat[T any] interface {
+	// header parses a file's sequence number and whether the file is a
+	// base, without checking its CRC.
+	header(data []byte) (seq uint64, base, ok bool)
+	// encode builds the checkpoint of states at seq — a base when fresh
+	// — and its stats (the caller fills Seq, Index, and Bytes). commit
+	// makes the file the chain's new tail; the caller runs it only once
+	// the file is published, so a failed attempt leaves the chain as it
+	// was.
+	encode(states []T, seq uint64, fresh bool) (file []byte, cs CheckpointStats, commit func())
+	// decode starts decoding one chain at its base (recovery).
+	decode() chainDecoder[T]
+	// check starts verifying one chain at its base (the scrub pass): the
+	// returned function is fed the chain's files in order.
+	check() func(data []byte) error
+}
 
-	ckptMu     sync.Mutex // serializes checkpoints; guards rs and the chain fields
-	rs         *pam.RecordSet[K, V, A]
-	baseIdx    int // chain index of the current base checkpoint (0: none yet)
-	ckptsSince int // incremental checkpoints since the current base
+// chainDecoder decodes one checkpoint chain, fed its files in order.
+type chainDecoder[T any] interface {
+	// next decodes the chain's next file and returns its sequence number.
+	next(data []byte) (uint64, error)
+	// resume returns the shard states as of the last decoded file (empty
+	// states when none was) and the records decoded, and makes this
+	// chain the one the format's next checkpoint continues.
+	resume() (states []T, records int, err error)
+}
+
+// durable is the durability engine both durable stores embed: the FS,
+// WAL, checkpoint lock and policy, scrubber, sticky background error,
+// and recovery report of one store, over the flavour's op type O and
+// shard-state type T. All its methods are safe for concurrent use.
+type durable[O, T any] struct {
+	fs  FS
+	w   *wal[O]
+	cf  ckptFormat[T]
+	eng *engine[O, T]
+
+	ckptMu     sync.Mutex // serializes checkpoints; guards cf's chain state and ckptsSince
+	ckptsSince int        // incremental checkpoints since the current base
 
 	every     uint64
 	batches   atomic.Uint64
@@ -246,6 +274,27 @@ type DurableStore[K, V, A any, E pam.Aug[K, V, A]] struct {
 
 	errMu sync.Mutex
 	bgErr error
+}
+
+// DurableStore wraps a hash-partitioned Store with a write-ahead log
+// and incremental block checkpoints. Apply acknowledges a batch only
+// once its WAL record is fsynced (group commit across concurrent
+// writers); OpenDurableStore recovers the latest checkpoint plus the
+// WAL suffix — a gapless prefix of the write sequence containing every
+// batch ever acknowledged, possibly followed by durable-but-unobserved
+// batches that crashed mid-acknowledgment. Apply, ApplyAsync, Put,
+// PutAsync, Delete, DeleteAsync, Snapshot, ReaderView, Stats,
+// NumShards, and Rebalance (a no-op: hash stores never rebalance) are
+// the embedded Store's; through the durable engine a future resolves,
+// and Apply returns nil, only after the batch's WAL record is fsynced.
+//
+// The same opts, shard count, hash, and codec must be passed at every
+// reopen; they are the store's schema, not part of the files.
+// Serialization requires opts.Pool == false. All methods are safe for
+// concurrent use.
+type DurableStore[K, V, A any, E pam.Aug[K, V, A]] struct {
+	*hashStore[K, V, A, E]
+	*durable[Op[K, V], pam.AugMap[K, V, A, E]]
 }
 
 // storeOpCodec encodes one Op for WAL records: kind byte, key, and (for
@@ -347,30 +396,22 @@ func writeFileAtomic(fs FS, tmp, final string, data []byte) error {
 }
 
 // ckptHeaderFull parses just the fixed header of a checkpoint file — no
-// CRC or record validation — returning [seq, shards, firstID, nRecords].
-func ckptHeaderFull(data []byte) (hdr [4]uint64, ok bool) {
+// CRC or record validation — returning [seq, shards, firstID, nRecords]
+// and the bytes after it.
+func ckptHeaderFull(data []byte) (hdr [4]uint64, rest []byte, ok bool) {
 	if len(data) < len(ckptMagic) || string(data[:len(ckptMagic)]) != ckptMagic {
-		return hdr, false
+		return hdr, nil, false
 	}
-	p := data[len(ckptMagic):]
+	rest = data[len(ckptMagic):]
 	for i := range hdr {
-		v, n := binary.Uvarint(p)
+		v, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return hdr, false
+			return hdr, nil, false
 		}
 		hdr[i] = v
-		p = p[n:]
+		rest = rest[n:]
 	}
-	return hdr, true
-}
-
-// ckptHeader returns a checkpoint header's sequence number and firstID.
-// Recovery uses it to locate chain bases and to bound the highest
-// sequence number the directory ever held (so falling back past a
-// corrupt file can never silently lose acknowledged batches).
-func ckptHeader(data []byte) (seq, firstID uint64, ok bool) {
-	hdr, ok := ckptHeaderFull(data)
-	return hdr[0], hdr[2], ok
+	return hdr, rest, true
 }
 
 // decodeStoreCheckpoint decodes one chain file into the accumulating
@@ -384,15 +425,9 @@ func decodeStoreCheckpoint[K, V, A any, E pam.Aug[K, V, A]](tb *pam.DecodeTable[
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
 		return 0, nil, ErrCorruptFile
 	}
-	p := body[len(ckptMagic):]
-	var hdr [4]uint64
-	for i := range hdr {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, nil, ErrCorruptFile
-		}
-		hdr[i] = v
-		p = p[n:]
+	hdr, p, ok := ckptHeaderFull(body)
+	if !ok {
+		return 0, nil, ErrCorruptFile
 	}
 	seq, nShards, firstID, nRecs := hdr[0], hdr[1], hdr[2], hdr[3]
 	if nShards != uint64(shards) {
@@ -438,25 +473,23 @@ func decodeStoreCheckpoint[K, V, A any, E pam.Aug[K, V, A]](tb *pam.DecodeTable[
 	return seq, roots, nil
 }
 
-// storeChain is the outcome of decoding the checkpoint chain during
-// recovery.
-type storeChain[K, V, A any, E pam.Aug[K, V, A]] struct {
-	tb      *pam.DecodeTable[K, V, A, E]
-	roots   []uint64
+// recoveredChain is the checkpoint chain recovery settled on.
+type recoveredChain[T any] struct {
+	dec     chainDecoder[T]
 	seq     uint64
 	lastIdx int // chain index of the last decoded file (0: none)
 	baseIdx int // chain index of the base the chain starts at (0: none)
 	files   int
 }
 
-// recoverStoreChain decodes the newest intact checkpoint chain. A
-// corrupt file is quarantined together with every later chain file (a
-// chain is useless past a hole); decoding then falls back to the prefix
-// before it, or to an older base if the newest base itself is corrupt.
-// maxSeq is the highest sequence number any readable header claims —
-// the caller must refuse to open unless WAL replay reaches it whenever
-// anything was quarantined.
-func recoverStoreChain[K, V, A any, E pam.Aug[K, V, A]](fs FS, opts pam.Options, codec *pam.Codec[K, V], shards int, ckpts []int, rec *RecoveryStats) (chain storeChain[K, V, A, E], maxSeq uint64, err error) {
+// recoverChain decodes the newest intact checkpoint chain. A corrupt
+// file is quarantined together with every later chain file (a chain is
+// useless past a hole); decoding then falls back to the prefix before
+// it, or to an older base if the newest base itself is corrupt. maxSeq
+// is the highest sequence number any readable header claims — the
+// caller must refuse to open unless WAL replay reaches it — and bases
+// marks the files whose header claims a base.
+func recoverChain[T any](fs FS, cf ckptFormat[T], ckpts []int, rec *RecoveryStats) (chain recoveredChain[T], maxSeq uint64, bases map[int]bool, err error) {
 	quarantined := make(map[int]bool)
 	quarantine := func(idx int) error {
 		q, err := quarantineFile(fs, ckptName(idx))
@@ -468,111 +501,104 @@ func recoverStoreChain[K, V, A any, E pam.Aug[K, V, A]](fs FS, opts pam.Options,
 		return nil
 	}
 	datas := make(map[int][]byte, len(ckpts))
-	var bases []int // positions in ckpts whose file claims firstID == 1
+	bases = make(map[int]bool)
+	var basePos []int // positions in ckpts of the bases
 	for pos, idx := range ckpts {
 		data, err := fs.ReadFile(ckptName(idx))
 		if err != nil {
-			return chain, 0, err
+			return chain, 0, nil, err
 		}
 		datas[idx] = data
-		seq, firstID, ok := ckptHeader(data)
+		seq, base, ok := cf.header(data)
 		if !ok {
 			// An unreadable header is corruption in its own right:
 			// quarantine it now so it is reported, not silently skipped.
 			if qerr := quarantine(idx); qerr != nil {
-				return chain, maxSeq, qerr
+				return chain, maxSeq, nil, qerr
 			}
 			continue
 		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		if firstID == 1 {
-			bases = append(bases, pos)
+		maxSeq = max(maxSeq, seq)
+		if base {
+			bases[idx] = true
+			basePos = append(basePos, pos)
 		}
 	}
-	for attempt := len(bases) - 1; attempt >= 0; attempt-- {
-		start := bases[attempt]
+	for attempt := len(basePos) - 1; attempt >= 0; attempt-- {
+		start := basePos[attempt]
 		if quarantined[ckpts[start]] {
 			continue
 		}
-		tb := pam.NewDecodeTable[K, V, A, E](opts)
-		cand := storeChain[K, V, A, E]{tb: tb, roots: make([]uint64, shards), baseIdx: ckpts[start]}
-		baseOK := false
+		cand := recoveredChain[T]{dec: cf.decode(), baseIdx: ckpts[start]}
 		for pos := start; pos < len(ckpts); pos++ {
 			idx := ckpts[pos]
 			if quarantined[idx] {
 				continue
 			}
-			s, r, derr := decodeStoreCheckpoint(tb, codec, shards, datas[idx])
+			s, derr := cand.dec.next(datas[idx])
 			if derr != nil {
 				// This file — and every chain file after it, which can
 				// only reference records through it — is unusable.
 				for p2 := pos; p2 < len(ckpts); p2++ {
 					if !quarantined[ckpts[p2]] {
 						if qerr := quarantine(ckpts[p2]); qerr != nil {
-							return chain, maxSeq, qerr
+							return chain, maxSeq, nil, qerr
 						}
 					}
 				}
 				break
 			}
-			cand.seq, cand.roots, cand.lastIdx = s, r, idx
+			cand.seq, cand.lastIdx = s, idx
 			cand.files++
-			baseOK = true
 		}
-		if baseOK {
-			return cand, maxSeq, nil
+		if cand.files > 0 {
+			return cand, maxSeq, bases, nil
 		}
 	}
 	// No intact base: recovery starts from an empty chain. The caller's
 	// sequence-coverage check decides whether the WAL alone suffices.
-	return storeChain[K, V, A, E]{tb: pam.NewDecodeTable[K, V, A, E](opts), roots: make([]uint64, shards)}, maxSeq, nil
+	return recoveredChain[T]{dec: cf.decode()}, maxSeq, bases, nil
 }
 
-// OpenDurableStore opens (or creates) a durable hash-partitioned store
-// on cfg.FS: it sweeps crash leftovers, loads the newest intact
-// checkpoint chain (quarantining corrupt files and falling back if
-// needed), replays the WAL suffix, and resumes the write sequence where
-// the recovered prefix ends. See DurableStore for the recovery
-// guarantee; Recovery reports what was read and repaired.
-func OpenDurableStore[K, V, A any, E pam.Aug[K, V, A]](opts pam.Options, shards int, hash func(K) uint64, codec *pam.Codec[K, V], cfg DurableConfig) (*DurableStore[K, V, A, E], error) {
+// openDurable opens (or creates) the durable core on cfg.FS: it sweeps
+// crash leftovers, loads the newest intact checkpoint chain
+// (quarantining corrupt files and falling back if needed), and replays
+// the WAL suffix through route and apply. It returns the recovered
+// shard states and the sequence number the store resumes at; the
+// caller builds its store on them with d.hooks() and then calls
+// d.start. opts are the shard structures' options (serialization
+// requires opts.Pool == false).
+func openDurable[O, T any](opts pam.Options, cfg DurableConfig, enc opCodec[O], cf ckptFormat[T], route func(O) int, apply func(T, []O) T) (d *durable[O, T], states []T, next uint64, err error) {
 	if cfg.FS == nil {
-		return nil, errors.New("serve: DurableConfig.FS is required")
+		return nil, nil, 0, errors.New("serve: DurableConfig.FS is required")
 	}
 	if opts.Pool {
-		return nil, errors.New("serve: durable stores require Options.Pool == false")
-	}
-	if shards < 1 {
-		return nil, errors.New("serve: OpenDurableStore needs at least one shard")
+		return nil, nil, 0, errors.New("serve: durable stores require Options.Pool == false")
 	}
 	names, err := cfg.FS.List()
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	sweepTmpFiles(cfg.FS, names)
 	ckpts, walGens := parseDurableDir(names)
 
 	var rec RecoveryStats
-	chain, maxSeq, err := recoverStoreChain[K, V, A, E](cfg.FS, opts, codec, shards, ckpts, &rec)
+	chain, maxSeq, bases, err := recoverChain(cfg.FS, cf, ckpts, &rec)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	tb := chain.tb
+	states, rec.ChainRecords, err = chain.dec.resume()
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("%s: %w", ckptName(chain.lastIdx), err)
+	}
 	rec.ChainFiles = chain.files
-	rec.ChainRecords = int(tb.NextID() - 1)
-	states := make([]pam.AugMap[K, V, A, E], shards)
-	for i := range states {
-		m, err := tb.Map(chain.roots[i])
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", ckptName(chain.lastIdx), err)
-		}
-		states[i] = m
-	}
-	// Chain files below the recovered base are superseded leftovers of a
-	// compaction that crashed before its deletes; sweep them.
+	keep := max(cfg.KeepGenerations, 1)
+	// Checkpoint files below the recovered base are superseded. Chain
+	// files there are leftovers of a compaction that crashed before its
+	// deletes; older bases stay as fallbacks (every older point
+	// checkpoint is one) within the KeepGenerations window.
 	for _, idx := range ckpts {
-		if idx < chain.baseIdx {
+		if idx < chain.baseIdx && (!bases[idx] || idx < chain.baseIdx-keep) {
 			cfg.FS.Remove(ckptName(idx))
 		}
 	}
@@ -580,35 +606,30 @@ func OpenDurableStore[K, V, A any, E pam.Aug[K, V, A]](opts pam.Options, shards 
 	// Replay the WAL generations from the last checkpoint on: batches
 	// must continue the sequence gaplessly; a torn tail ends replay and
 	// is trimmed so the resumed log appends onto a clean file.
-	n := uint64(shards)
-	route := func(o Op[K, V]) int { return int(hash(o.Key) % n) }
-	enc := storeOpCodec(codec)
-	next := chain.seq
+	next = chain.seq
 	maxGen := chain.lastIdx
 	for _, g := range walGens {
 		if g < chain.lastIdx {
 			continue // superseded by the checkpoint; awaiting removal
 		}
-		if g > maxGen {
-			maxGen = g
-		}
+		maxGen = max(maxGen, g)
 		data, err := cfg.FS.ReadFile(walName(g))
 		if err != nil {
-			return nil, err
+			return nil, nil, 0, err
 		}
 		batches, valid := decodeWALFile(enc, data)
 		for _, b := range batches {
 			if b.seq != next {
-				return nil, fmt.Errorf("%s: %w: batch seq %d, want %d", walName(g), ErrCorruptFile, b.seq, next)
+				return nil, nil, 0, fmt.Errorf("%s: %w: batch seq %d, want %d", walName(g), ErrCorruptFile, b.seq, next)
 			}
-			per := make([][]Op[K, V], shards)
+			per := make([][]O, len(states))
 			for _, op := range b.ops {
 				i := route(op)
 				per[i] = append(per[i], op)
 			}
 			for i, sub := range per {
 				if len(sub) > 0 {
-					states[i] = applyOps(states[i], sub)
+					states[i] = apply(states[i], sub)
 				}
 			}
 			next++
@@ -616,7 +637,7 @@ func OpenDurableStore[K, V, A any, E pam.Aug[K, V, A]](opts pam.Options, shards 
 		}
 		if valid != len(data) {
 			if err := writeFileAtomic(cfg.FS, walTmpName, walName(g), data[:valid]); err != nil {
-				return nil, err
+				return nil, nil, 0, err
 			}
 		}
 	}
@@ -626,59 +647,79 @@ func OpenDurableStore[K, V, A any, E pam.Aug[K, V, A]](opts pam.Options, shards 
 	// can fall out of consideration without ever being decoded (a garbled
 	// firstID, say), and the coverage gap is the only remaining evidence.
 	if next < maxSeq {
-		return nil, fmt.Errorf("%w: recovered to seq %d, but a checkpoint at seq %d existed (quarantined: %s)",
+		return nil, nil, 0, fmt.Errorf("%w: recovered to seq %d, but a checkpoint at seq %d existed (quarantined: %s)",
 			ErrUnrecoverable, next, maxSeq, strings.Join(rec.Quarantined, ", "))
 	}
-	if len(rec.Quarantined) > 0 {
-		rec.Repaired = true
-	}
+	rec.Repaired = len(rec.Quarantined) > 0
 
-	w := newWAL(cfg.FS, enc, maxGen, next)
-	keep := cfg.KeepGenerations
-	if keep < 1 {
-		keep = 1
-	}
-	d := &DurableStore[K, V, A, E]{
+	d = &durable[O, T]{
 		fs:         cfg.FS,
-		w:          w,
-		codec:      codec,
-		opts:       opts,
-		rs:         tb.RecordSet(),
-		baseIdx:    chain.baseIdx,
-		ckptsSince: chain.files - 1,
+		w:          newWAL(cfg.FS, enc, maxGen, next),
+		cf:         cf,
+		ckptsSince: max(chain.files-1, 0),
 		every:      uint64(cfg.CheckpointEvery),
 		compEvery:  cfg.CompactEvery,
 		deadRatio:  cfg.CompactDeadRatio,
 		keep:       keep,
 		recovery:   rec,
 	}
-	if d.ckptsSince < 0 {
-		d.ckptsSince = 0
+	return d, states, next, nil
+}
+
+// OpenDurableStore opens (or creates) a durable hash-partitioned store
+// on cfg.FS: it sweeps crash leftovers, loads the newest intact
+// checkpoint chain (quarantining corrupt files and falling back if
+// needed), replays the WAL suffix, and resumes the write sequence where
+// the recovered prefix ends. See DurableStore for the recovery
+// guarantee; Recovery reports what was read and repaired.
+func OpenDurableStore[K, V, A any, E pam.Aug[K, V, A]](opts pam.Options, shards int, hash func(K) uint64, codec *pam.Codec[K, V], cfg DurableConfig) (*DurableStore[K, V, A, E], error) {
+	if shards < 1 {
+		return nil, errors.New("serve: OpenDurableStore needs at least one shard")
 	}
-	// The commit hook runs on the engine's resolver, in sequence order,
-	// after the batch is applied: group-commit the WAL through seq, then
-	// count the batch toward the automatic checkpoint. A future
-	// therefore resolves only once its batch is fsynced.
-	h := hooks[Op[K, V]]{logAppend: w.appendLocked, commit: d.commitSeq}
-	d.s = &Store[K, V, A, E]{eng: newEngineAt(states, route, applyMapOps[K, V, A, E], next, h, cfg.Tuning.withDefaults())}
+	if hash == nil || codec == nil {
+		return nil, errors.New("serve: OpenDurableStore needs a hash and a codec")
+	}
+	n := uint64(shards)
+	route := func(o Op[K, V]) int { return int(hash(o.Key) % n) }
+	cf := &mapFormat[K, V, A, E]{opts: opts, codec: codec, shards: shards, live: cfg.CompactDeadRatio > 0}
+	d, states, next, err := openDurable(opts, cfg, storeOpCodec(codec), cf, route, applyOps[K, V, A, E])
+	if err != nil {
+		return nil, err
+	}
+	s := &Store[K, V, A, E]{eng: newEngineAt(states, route, applyMapOps[K, V, A, E], next, d.hooks(), cfg.Tuning)}
+	return &DurableStore[K, V, A, E]{hashStore: s, durable: d.start(s.eng, cfg)}, nil
+}
+
+// hooks returns the engine hooks that make a store durable: the WAL
+// append under the sequencer lock, and commitSeq on the resolver — in
+// sequence order, after the batch is applied — so a future resolves
+// only once its batch is fsynced.
+func (d *durable[O, T]) hooks() hooks[O] {
+	return hooks[O]{logAppend: d.w.appendLocked, commit: d.commitSeq}
+}
+
+// start binds the core to the engine its store built and starts the
+// background scrubber (DurableConfig.ScrubEvery).
+func (d *durable[O, T]) start(eng *engine[O, T], cfg DurableConfig) *durable[O, T] {
+	d.eng = eng
 	if cfg.ScrubEvery > 0 {
 		d.scrub = startScrubber(cfg.ScrubEvery, cfg.ScrubBytesPerSec, scrubHooks{
 			epoch:  d.epoch.Load,
 			verify: d.verifyPass,
-			repair: func(corrupt []string) error { return d.repairCorrupt(corrupt) },
+			repair: d.repairCorrupt,
 			onErr:  d.setErr,
 		})
 	}
-	return d, nil
+	return d
 }
 
 // Recovery reports what the opening recovery read and repaired.
-func (d *DurableStore[K, V, A, E]) Recovery() RecoveryStats { return d.recovery }
+func (d *durable[O, T]) Recovery() RecoveryStats { return d.recovery }
 
 // commitSeq is the resolver-side durability step: fsync the WAL through
 // seq (instant when a group commit already covered it), take the
 // periodic automatic checkpoint, and apply the compaction policy.
-func (d *DurableStore[K, V, A, E]) commitSeq(seq uint64) error {
+func (d *durable[O, T]) commitSeq(seq uint64) error {
 	if err := d.w.Sync(seq); err != nil {
 		return err
 	}
@@ -699,8 +740,10 @@ func (d *DurableStore[K, V, A, E]) commitSeq(seq uint64) error {
 }
 
 // maybeCompact applies the automatic compaction policy after a
-// successful automatic checkpoint.
-func (d *DurableStore[K, V, A, E]) maybeCompact(cs CheckpointStats) {
+// successful automatic checkpoint. A base resets the count and has no
+// dead records, so formats whose every file is a base (point stores)
+// never compact automatically.
+func (d *durable[O, T]) maybeCompact(cs CheckpointStats) {
 	d.ckptMu.Lock()
 	since := d.ckptsSince
 	d.ckptMu.Unlock()
@@ -716,56 +759,6 @@ func (d *DurableStore[K, V, A, E]) maybeCompact(cs CheckpointStats) {
 		d.setErr(err)
 	}
 }
-
-// Apply submits one write batch and blocks until every involved shard
-// has applied it AND its WAL record is durable; only then is the batch
-// acknowledged (nil error). On a WAL error the batch is unacknowledged:
-// it may or may not survive a crash, but never breaks the recovered
-// prefix; the returned sequence number is still the batch's. ErrClosed
-// and ErrOverloaded mean the batch was never admitted at all.
-func (d *DurableStore[K, V, A, E]) Apply(ops []Op[K, V]) (uint64, error) {
-	return d.s.eng.applyBatch(ops)
-}
-
-// ApplyAsync submits one write batch fire-and-forget and returns its
-// completion future. The future resolves — in global sequence order —
-// only after the batch's WAL record is fsynced, so a nil Ack.Err is
-// the same durability guarantee the sync Apply gives.
-func (d *DurableStore[K, V, A, E]) ApplyAsync(ops []Op[K, V]) (*Future, error) {
-	return d.s.eng.applyAsync(ops, false)
-}
-
-// Put durably stores (k, v) and returns the write's sequence number.
-func (d *DurableStore[K, V, A, E]) Put(k K, v V) (uint64, error) {
-	return d.Apply([]Op[K, V]{{Kind: OpPut, Key: k, Val: v}})
-}
-
-// PutAsync is the fire-and-forget Put; see ApplyAsync.
-func (d *DurableStore[K, V, A, E]) PutAsync(k K, v V) (*Future, error) {
-	return d.ApplyAsync([]Op[K, V]{{Kind: OpPut, Key: k, Val: v}})
-}
-
-// Delete durably removes k and returns the write's sequence number.
-func (d *DurableStore[K, V, A, E]) Delete(k K) (uint64, error) {
-	return d.Apply([]Op[K, V]{{Kind: OpDelete, Key: k}})
-}
-
-// DeleteAsync is the fire-and-forget Delete; see ApplyAsync.
-func (d *DurableStore[K, V, A, E]) DeleteAsync(k K) (*Future, error) {
-	return d.ApplyAsync([]Op[K, V]{{Kind: OpDelete, Key: k}})
-}
-
-// Stats samples the per-shard pipeline counters; see Store.Stats.
-func (d *DurableStore[K, V, A, E]) Stats() []ShardStats { return d.s.Stats() }
-
-// Snapshot assembles a consistent cross-shard view; see Store.Snapshot.
-func (d *DurableStore[K, V, A, E]) Snapshot() (View[K, V, A, E], error) { return d.s.Snapshot() }
-
-// ReaderView returns the read-only replica view; see Store.ReaderView.
-func (d *DurableStore[K, V, A, E]) ReaderView() (View[K, V, A, E], error) { return d.s.ReaderView() }
-
-// NumShards returns the partition count.
-func (d *DurableStore[K, V, A, E]) NumShards() int { return d.s.NumShards() }
 
 // encodeStoreCheckpoint builds one checkpoint file: the states' delta
 // against rs, the per-shard roots with their Merkle digests, and the
@@ -798,138 +791,183 @@ func encodeStoreCheckpoint[K, V, A any, E pam.Aug[K, V, A]](states []pam.AugMap[
 	return file, wrote, digest
 }
 
-// Checkpoint writes the next incremental checkpoint: it snapshots all
-// shards at one sequence point (rotating the WAL generation at exactly
-// that point), encodes only the tree records created since the previous
-// checkpoint, publishes the file atomically, and then drops the WAL
-// generations the new checkpoint supersedes (keeping KeepGenerations
-// for corruption fallback). Concurrent writes proceed; concurrent
-// Checkpoint calls serialize.
-func (d *DurableStore[K, V, A, E]) Checkpoint() (CheckpointStats, error) {
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	var idx int
-	states, _, seq, _, ok := d.s.eng.trySnapshotWith(func() { idx = d.w.rotateLocked() })
-	if !ok {
-		return CheckpointStats{}, ErrClosed
-	}
-
-	// Encode against a clone: ids are committed only with the file, so
-	// a failed attempt never burns ids the on-disk chain hasn't seen.
-	rs := d.rs.Clone()
-	base := rs.NextID() == 1
-	file, wrote, digest := encodeStoreCheckpoint(states, rs, d.codec, seq)
-	if err := writeFileAtomic(d.fs, ckptTmpName, ckptName(idx), file); err != nil {
-		return CheckpointStats{}, err
-	}
-	d.rs = rs
-	if base {
-		d.baseIdx = idx
-		d.ckptsSince = 0
-	} else {
-		d.ckptsSince++
-	}
-	d.epoch.Add(1)
-	// Old WAL generations are superseded, but only drop them once their
-	// records are flushed, so no in-flight group commit is still writing
-	// the files being removed.
-	if seq == 0 || d.w.Sync(seq-1) == nil {
-		dropOldWALs(d.fs, idx-d.keep)
-	}
-	stats := CheckpointStats{
-		Seq: seq, Index: idx, Records: wrote, Bytes: len(file),
-		Digest: digest, Base: base, ChainRecords: rs.Len(),
-	}
-	if d.deadRatio > 0 || base {
-		for _, m := range states {
-			stats.LiveRecords += m.RecordCount()
-		}
-	}
-	return stats, nil
+// mapFormat is DurableStore's ckptFormat: the incremental PAMCKPT2
+// chain. rs holds the records the on-disk chain already has, so a
+// checkpoint writes only the delta; the core's ckptMu guards it.
+type mapFormat[K, V, A any, E pam.Aug[K, V, A]] struct {
+	opts   pam.Options // the tree schema, needed to decode chains
+	codec  *pam.Codec[K, V]
+	shards int
+	live   bool // count live records at every checkpoint (CompactDeadRatio)
+	rs     *pam.RecordSet[K, V, A]
 }
 
+// header reads a chain file's sequence number and whether it is a base
+// (firstID 1). Recovery uses it to locate chain bases and to bound the
+// highest sequence number the directory ever held (so falling back past
+// a corrupt file can never silently lose acknowledged batches).
+func (f *mapFormat[K, V, A, E]) header(data []byte) (uint64, bool, bool) {
+	hdr, _, ok := ckptHeaderFull(data)
+	return hdr[0], hdr[2] == 1, ok
+}
+
+func (f *mapFormat[K, V, A, E]) encode(states []pam.AugMap[K, V, A, E], seq uint64, fresh bool) ([]byte, CheckpointStats, func()) {
+	// Encode against a clone of the chain's record set — or, for a
+	// compaction, a fresh one, making the encode a full rewrite of the
+	// live records (firstID 1 marks the file as a base). Ids are
+	// committed only with the file, so a failed attempt never burns ids
+	// the on-disk chain hasn't seen.
+	rs := pam.NewRecordSet[K, V, A]()
+	if !fresh {
+		rs = f.rs.Clone()
+	}
+	base := rs.NextID() == 1
+	file, wrote, digest := encodeStoreCheckpoint(states, rs, f.codec, seq)
+	cs := CheckpointStats{Records: wrote, Digest: digest, Base: base, ChainRecords: rs.Len()}
+	if base {
+		cs.LiveRecords = wrote
+	} else if f.live {
+		for _, m := range states {
+			cs.LiveRecords += m.RecordCount()
+		}
+	}
+	return file, cs, func() { f.rs = rs }
+}
+
+func (f *mapFormat[K, V, A, E]) decode() chainDecoder[pam.AugMap[K, V, A, E]] {
+	return &mapChain[K, V, A, E]{f: f, tb: pam.NewDecodeTable[K, V, A, E](f.opts), roots: make([]uint64, f.shards)}
+}
+
+func (f *mapFormat[K, V, A, E]) check() func([]byte) error {
+	c := f.decode()
+	return func(data []byte) error {
+		_, err := c.next(data)
+		return err
+	}
+}
+
+// mapChain decodes one PAMCKPT2 chain into a shared DecodeTable,
+// reproducing the on-disk structure sharing in memory.
+type mapChain[K, V, A any, E pam.Aug[K, V, A]] struct {
+	f     *mapFormat[K, V, A, E]
+	tb    *pam.DecodeTable[K, V, A, E]
+	roots []uint64 // per-shard root ids of the last decoded file
+}
+
+func (c *mapChain[K, V, A, E]) next(data []byte) (uint64, error) {
+	seq, roots, err := decodeStoreCheckpoint(c.tb, c.f.codec, c.f.shards, data)
+	if err == nil {
+		c.roots = roots
+	}
+	return seq, err
+}
+
+func (c *mapChain[K, V, A, E]) resume() ([]pam.AugMap[K, V, A, E], int, error) {
+	states := make([]pam.AugMap[K, V, A, E], len(c.roots))
+	for i, id := range c.roots {
+		m, err := c.tb.Map(id)
+		if err != nil {
+			return nil, 0, err
+		}
+		states[i] = m
+	}
+	c.f.rs = c.tb.RecordSet()
+	return states, int(c.tb.NextID() - 1), nil
+}
+
+// Checkpoint writes the next checkpoint: it snapshots all shards at one
+// sequence point (rotating the WAL generation at exactly that point),
+// encodes them — a DurableStore writes only the tree records created
+// since the previous checkpoint, a DurablePointStore a standalone base
+// of every shard's ladder — publishes the file atomically, and then
+// drops the files it supersedes, keeping KeepGenerations WAL
+// generations (and, for point stores, as many older checkpoints) for
+// corruption fallback. Concurrent writes proceed; concurrent Checkpoint
+// calls serialize.
+func (d *durable[O, T]) Checkpoint() (CheckpointStats, error) { return d.checkpoint(false) }
+
 // Compact rewrites the live state as a fresh base checkpoint and drops
-// the superseded chain tail and WAL generations, bounding recovery to
-// O(live records) regardless of update history. It is crash-safe at
+// every checkpoint and WAL generation it supersedes (KeepGenerations
+// does not apply), bounding recovery to O(live records) regardless of
+// update history; for a point store, whose checkpoints are all bases,
+// it differs from Checkpoint only in retention. It is crash-safe at
 // every point: the base is published by rename after a full sync, and
-// the old chain is deleted only afterwards — a crash leaves either the
+// the old files are deleted only afterwards — a crash leaves either the
 // old chain whole or the new base recoverable (recovery picks the
 // newest intact base and sweeps leftovers). Concurrent writes proceed;
 // Compact serializes with Checkpoint. It is also the self-healing
 // repair step: the live in-memory state is the redundancy a fresh base
-// is rebuilt from when a chain file is found corrupt.
-func (d *DurableStore[K, V, A, E]) Compact() (CheckpointStats, error) {
+// is rebuilt from when a file is found corrupt.
+func (d *durable[O, T]) Compact() (CheckpointStats, error) { return d.checkpoint(true) }
+
+// checkpoint is Checkpoint (fresh false) and Compact (fresh true).
+func (d *durable[O, T]) checkpoint(fresh bool) (CheckpointStats, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	var idx int
-	states, _, seq, _, ok := d.s.eng.trySnapshotWith(func() { idx = d.w.rotateLocked() })
+	states, _, seq, _, ok := d.eng.trySnapshotWith(func() { idx = d.w.rotateLocked() })
 	if !ok {
 		return CheckpointStats{}, ErrClosed
 	}
-
-	// A fresh record set: the encode is a full rewrite of the live
-	// records (firstID 1 marks the file as a base).
-	rs := pam.NewRecordSet[K, V, A]()
-	file, wrote, digest := encodeStoreCheckpoint(states, rs, d.codec, seq)
+	file, cs, commit := d.cf.encode(states, seq, fresh)
 	if err := writeFileAtomic(d.fs, ckptTmpName, ckptName(idx), file); err != nil {
 		return CheckpointStats{}, err
 	}
-	d.rs = rs
-	d.baseIdx = idx
-	d.ckptsSince = 0
-	d.epoch.Add(1)
-	// The base supersedes the whole previous chain and every WAL
-	// generation below it. As with Checkpoint, WAL files are removed
-	// only once their records are flushed.
-	if seq == 0 || d.w.Sync(seq-1) == nil {
-		dropOldWALs(d.fs, idx)
+	commit()
+	cs.Seq, cs.Index, cs.Bytes = seq, idx, len(file)
+	d.ckptsSince++
+	if cs.Base {
+		d.ckptsSince = 0
 	}
-	dropOldCkpts(d.fs, idx)
-	return CheckpointStats{
-		Seq: seq, Index: idx, Records: wrote, Bytes: len(file),
-		Digest: digest, Base: true, ChainRecords: wrote, LiveRecords: wrote,
-	}, nil
+	d.epoch.Add(1)
+	keep := d.keep
+	if fresh {
+		keep = 0
+	}
+	// Old WAL generations are superseded, but only drop them once their
+	// records are flushed, so no in-flight group commit is still writing
+	// the files being removed. A base supersedes every checkpoint file
+	// before it, outside the retention window.
+	var walBound, ckptBound int
+	if seq == 0 || d.w.Sync(seq-1) == nil {
+		walBound = idx - keep
+	}
+	if cs.Base {
+		ckptBound = idx - keep
+	}
+	dropOld(d.fs, walBound, ckptBound)
+	return cs, nil
 }
 
-// dropOldWALs removes WAL generations below bound, best-effort: a
-// leftover file is ignored by the next recovery and removed by the next
-// checkpoint.
-func dropOldWALs(fs FS, bound int) {
+// dropOld removes the WAL generations below walBound and the checkpoint
+// files below ckptBound, best-effort: a leftover file is ignored by the
+// next recovery and removed by a later checkpoint or recovery.
+func dropOld(fs FS, walBound, ckptBound int) {
 	names, err := fs.List()
 	if err != nil {
 		return
 	}
-	_, gens := parseDurableDir(names)
+	ckpts, gens := parseDurableDir(names)
 	for _, g := range gens {
-		if g < bound {
+		if g < walBound {
 			fs.Remove(walName(g))
 		}
 	}
-}
-
-// dropOldCkpts removes checkpoint files below bound (the chain a new
-// base supersedes), best-effort: recovery sweeps leftovers.
-func dropOldCkpts(fs FS, bound int) {
-	names, err := fs.List()
-	if err != nil {
-		return
-	}
-	ckpts, _ := parseDurableDir(names)
 	for _, idx := range ckpts {
-		if idx < bound {
+		if idx < ckptBound {
 			fs.Remove(ckptName(idx))
 		}
 	}
 }
 
-// verifyPass re-reads and verifies every sealed durable file once: the
-// checkpoint chain is decoded in full (CRCs, record framing, Merkle
-// root digests) and sealed WAL generations are checked for complete,
-// checksummed framing. It returns the corrupt file names and the bytes
-// read. File contents are read under ckptMu (so the set is a consistent
-// snapshot against concurrent checkpoints and compactions); decoding
-// and hashing run outside the lock.
-func (d *DurableStore[K, V, A, E]) verifyPass() (corrupt []string, files, bytes int, err error) {
+// verifyPass re-reads and verifies every sealed durable file once: each
+// checkpoint chain is checked in full by the format (for DurableStore:
+// CRCs, record framing, Merkle root digests) and sealed WAL generations
+// are checked for complete, checksummed framing. It returns the corrupt
+// file names and the bytes read. File contents are read under ckptMu
+// (so the set is a consistent snapshot against concurrent checkpoints
+// and compactions); decoding and hashing run outside the lock.
+func (d *durable[O, T]) verifyPass() (corrupt []string, files, bytes int, err error) {
 	d.ckptMu.Lock()
 	names, lerr := d.fs.List()
 	if lerr != nil {
@@ -955,17 +993,12 @@ func (d *DurableStore[K, V, A, E]) verifyPass() (corrupt []string, files, bytes 
 	}
 	d.ckptMu.Unlock()
 
-	return d.verifyChainAndWAL(ckpts, ckptData, walGens, walData)
-}
-
-// verifyChainAndWAL checks the in-memory copies of the chain and sealed
-// WAL files. A chain file that fails to decode marks only itself
-// corrupt; later files of that chain are skipped (unverifiable without
-// it, and repair rewrites everything anyway).
-func (d *DurableStore[K, V, A, E]) verifyChainAndWAL(ckpts []int, ckptData map[int][]byte, walGens []int, walData map[int][]byte) (corrupt []string, files, bytes int, err error) {
-	shards := d.s.NumShards()
-	var tb *pam.DecodeTable[K, V, A, E]
-	skipChain := false
+	// A file with an unreadable header is corrupt wherever it is. A
+	// chain file that fails its check marks only itself corrupt; later
+	// files of that chain are skipped (unverifiable without it, and
+	// repair rewrites everything anyway), as are stale files before the
+	// first base, which recovery deletes.
+	var check func([]byte) error
 	for _, idx := range ckpts {
 		data, ok := ckptData[idx]
 		if !ok {
@@ -973,21 +1006,13 @@ func (d *DurableStore[K, V, A, E]) verifyChainAndWAL(ckpts []int, ckptData map[i
 		}
 		files++
 		bytes += len(data)
-		if _, firstID, hok := ckptHeader(data); hok && firstID == 1 {
-			tb = pam.NewDecodeTable[K, V, A, E](d.opts)
-			skipChain = false
+		_, base, hok := d.cf.header(data)
+		if hok && base {
+			check = d.cf.check()
 		}
-		if skipChain {
-			continue
-		}
-		if tb == nil {
-			// No base seen yet: a stale pre-base leftover; verify it in
-			// isolation is impossible, so skip (recovery deletes these).
-			continue
-		}
-		if _, _, derr := decodeStoreCheckpoint(tb, d.codec, shards, data); derr != nil {
+		if !hok || (check != nil && check(data) != nil) {
 			corrupt = append(corrupt, ckptName(idx))
-			skipChain = true
+			check = nil
 		}
 	}
 	for _, g := range walGens {
@@ -1009,7 +1034,7 @@ func (d *DurableStore[K, V, A, E]) verifyChainAndWAL(ckpts []int, ckptData map[i
 // store is clean). It never modifies files; the background scrubber
 // (DurableConfig.ScrubEvery) is the quarantining, self-repairing
 // variant.
-func (d *DurableStore[K, V, A, E]) Verify() ([]string, error) {
+func (d *durable[O, T]) Verify() ([]string, error) {
 	corrupt, _, _, err := d.verifyPass()
 	return corrupt, err
 }
@@ -1018,7 +1043,7 @@ func (d *DurableStore[K, V, A, E]) Verify() ([]string, error) {
 // them, then compact — the live in-memory state is the redundancy the
 // fresh base checkpoint is rebuilt from, after which the quarantined
 // files are not part of any chain.
-func (d *DurableStore[K, V, A, E]) repairCorrupt(corrupt []string) error {
+func (d *durable[O, T]) repairCorrupt(corrupt []string) error {
 	d.ckptMu.Lock()
 	for _, name := range corrupt {
 		if _, err := quarantineFile(d.fs, name); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -1034,7 +1059,7 @@ func (d *DurableStore[K, V, A, E]) repairCorrupt(corrupt []string) error {
 
 // ScrubStats reports the background scrubber's lifetime counters (zero
 // when no scrubber is configured).
-func (d *DurableStore[K, V, A, E]) ScrubStats() ScrubStats {
+func (d *durable[O, T]) ScrubStats() ScrubStats {
 	if d.scrub == nil {
 		return ScrubStats{}
 	}
@@ -1044,13 +1069,13 @@ func (d *DurableStore[K, V, A, E]) ScrubStats() ScrubStats {
 // Err returns the first background error — from an automatic
 // (CheckpointEvery) checkpoint, an automatic compaction, or the
 // scrubber — which cannot be reported by the Apply that triggered it.
-func (d *DurableStore[K, V, A, E]) Err() error {
+func (d *durable[O, T]) Err() error {
 	d.errMu.Lock()
 	defer d.errMu.Unlock()
 	return d.bgErr
 }
 
-func (d *DurableStore[K, V, A, E]) setErr(err error) {
+func (d *durable[O, T]) setErr(err error) {
 	d.errMu.Lock()
 	if d.bgErr == nil {
 		d.bgErr = err
@@ -1058,13 +1083,18 @@ func (d *DurableStore[K, V, A, E]) setErr(err error) {
 	d.errMu.Unlock()
 }
 
-// Close stops the scrubber and the shard goroutines and flushes the
-// WAL. In-flight futures resolve (durably committed) before Close
-// returns; subsequent writes return ErrClosed.
-func (d *DurableStore[K, V, A, E]) Close() error {
+// close stops the scrubber, then the store (closeStore: its shard
+// goroutines, whose in-flight futures resolve durably committed), and
+// flushes the WAL.
+func (d *durable[O, T]) close(closeStore func()) error {
 	if d.scrub != nil {
 		d.scrub.Stop()
 	}
-	d.s.Close()
+	closeStore()
 	return d.w.Close()
 }
+
+// Close stops the scrubber and the shard goroutines and flushes the
+// WAL. In-flight futures resolve (durably committed) before Close
+// returns; subsequent writes return ErrClosed.
+func (d *DurableStore[K, V, A, E]) Close() error { return d.close(d.hashStore.Close) }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -134,6 +135,124 @@ func TestDurableStoreAutoCheckpoint(t *testing.T) {
 	v, _ := d.Snapshot()
 	if v.Seq() != 20 || v.Size() != 20 {
 		t.Fatalf("recovered Seq/Size = %d/%d, want 20/20", v.Seq(), v.Size())
+	}
+}
+
+// TestDurableAutoCheckpointCompact covers CheckpointEvery and Compact on
+// both flavours: automatic checkpoints fire on the resolver without a
+// background error, Compact leaves exactly one checkpoint file and no
+// WAL generation below it, and a reopen recovers the oracle from that
+// single base plus the WAL tail.
+func TestDurableAutoCheckpointCompact(t *testing.T) {
+	for _, fl := range durableFlavours {
+		t.Run(fl.name, func(t *testing.T) {
+			fs := NewMemFS()
+			d, err := fl.open(fs, 2, DurableConfig{CheckpointEvery: 4})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			oracle := map[uint64]int64{}
+			put := func(i uint64) {
+				if _, err := d.put(i, int64(i+1)); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+				oracle[i] = int64(i + 1)
+			}
+			for i := uint64(0); i < 30; i++ {
+				put(i)
+			}
+			if err := d.Err(); err != nil {
+				t.Fatalf("automatic checkpoint failed: %v", err)
+			}
+			names, _ := fs.List()
+			if ckpts, _ := parseDurableDir(names); len(ckpts) == 0 {
+				t.Fatalf("no automatic checkpoint written; files: %v", names)
+			}
+			cs, err := d.Compact()
+			if err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+			if !cs.Base || cs.Seq != 30 {
+				t.Fatalf("Compact stats %+v, want a base at seq 30", cs)
+			}
+			names, _ = fs.List()
+			ckpts, gens := parseDurableDir(names)
+			if len(ckpts) != 1 || ckpts[0] != cs.Index {
+				t.Fatalf("Compact left checkpoint files %v, want only %d", ckpts, cs.Index)
+			}
+			for _, g := range gens {
+				if g < cs.Index {
+					t.Fatalf("Compact left superseded WAL generation %d", g)
+				}
+			}
+			put(30) // replayed from the WAL on reopen
+			if err := d.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+
+			d2, err := fl.open(NewMemFSFrom(fs.DurableState()), 2, DurableConfig{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer d2.Close()
+			if rec := d2.Recovery(); rec.ChainFiles != 1 || rec.WALBatches != 1 {
+				t.Fatalf("recovery %+v, want one chain file and one WAL batch", rec)
+			}
+			seq, got := d2.contents()
+			if seq != 31 || !maps.Equal(got, oracle) {
+				t.Fatalf("recovered seq %d, %d entries; want 31, %d", seq, len(got), len(oracle))
+			}
+		})
+	}
+}
+
+// TestDurableRebalanceNoop pins that embedding the store does not let a
+// caller change a durable store's routing, which is part of its on-disk
+// schema: Rebalance on an open store of either flavour returns
+// (false, nil), a point store's splits stay put even under skew, and a
+// reopen recovers exactly the written contents.
+func TestDurableRebalanceNoop(t *testing.T) {
+	for _, fl := range durableFlavours {
+		t.Run(fl.name, func(t *testing.T) {
+			fs := NewMemFS()
+			d, err := fl.open(fs, 2, DurableConfig{})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			var splits []float64
+			if ps, ok := d.durableLifecycle.(*DurablePointStore); ok {
+				splits = ps.Splits()
+			}
+			oracle := map[uint64]int64{}
+			for i := uint64(0); i < 60; i++ { // skewed: most points right of the split
+				if _, err := d.put(i, int64(i)); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+				oracle[i] = int64(i)
+			}
+			if ok, err := d.Rebalance(); ok || err != nil {
+				t.Fatalf("Rebalance on a durable store = %v, %v; want false, nil", ok, err)
+			}
+			if ps, ok := d.durableLifecycle.(*DurablePointStore); ok && !slices.Equal(ps.Splits(), splits) {
+				t.Fatalf("Rebalance moved the splits: %v -> %v", splits, ps.Splits())
+			}
+			if _, err := d.put(1000, 7); err != nil {
+				t.Fatalf("Put after Rebalance: %v", err)
+			}
+			oracle[1000] = 7
+			if err := d.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+
+			d2, err := fl.open(NewMemFSFrom(fs.DurableState()), 2, DurableConfig{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer d2.Close()
+			if _, got := d2.contents(); !maps.Equal(got, oracle) {
+				t.Fatalf("recovered %d entries, oracle %d", len(got), len(oracle))
+			}
+		})
 	}
 }
 

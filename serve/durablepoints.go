@@ -3,13 +3,8 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dynamic"
 	"repro/pam"
@@ -19,17 +14,19 @@ import (
 // dynLevelState is one serialized ladder rung (see rangetree.State).
 type dynLevelState = dynamic.LevelState[rangetree.Point, int64]
 
-// Durable PointStore: the same WAL and recovery protocol as
-// DurableStore, with checkpoints that serialize each shard's full
-// ladder state (rangetree.State) instead of an incremental record
-// chain — the ladder's level structures are nested-augmentation
+// Durable PointStore: the durable core of durable.go — the same WAL,
+// recovery, retention, and scrub/repair lifecycle as DurableStore — with
+// the second checkpoint format, pointFormat: each file serializes every
+// shard's full ladder state (rangetree.State) instead of an incremental
+// record chain. The ladder's level structures are nested-augmentation
 // composites that are rebuilt by the parallel bulk Build on recovery,
 // preserving the exact rung boundaries (and so the amortization state
-// of the logarithmic method). Point checkpoints are therefore
-// standalone: recovery reads only the newest intact one (quarantining
-// corrupt ones and falling back to an older checkpoint plus a longer
-// WAL replay), and superseded files are dropped once a new one is
-// published, minus the KeepGenerations fallback window.
+// of the logarithmic method). Every point checkpoint is therefore a
+// standalone base: recovery decodes only the newest intact one
+// (quarantining corrupt ones and falling back to an older checkpoint
+// plus a longer WAL replay), a checkpoint drops the files it supersedes
+// minus the KeepGenerations fallback window, and the compaction
+// policies never fire (a base has nothing to compact).
 //
 // Checkpoint file format:
 //
@@ -191,92 +188,151 @@ func ptCkptSeq(data []byte) (uint64, bool) {
 	return seq, n > 0
 }
 
-// verifyPtCkptStructure is the codec-independent integrity check of one
-// point checkpoint: magic, trailing CRC, and the whole-file digest.
-func verifyPtCkptStructure(data []byte) bool {
-	if len(data) < len(ptCkptMagic)+sha256.Size+4 {
-		return false
+// ladderRecords counts the ladder records one shard state serializes.
+func ladderRecords(st rangetree.State) int {
+	n := len(st.BufAdds) + len(st.BufDels)
+	for _, lv := range st.Levels {
+		n += len(lv.Adds) + len(lv.Dels)
+	}
+	return n
+}
+
+// ptCkptBody is the codec-independent integrity check of one point
+// checkpoint — magic, trailing CRC, and the whole-file digest — and
+// returns the payload between the magic and the digest.
+func ptCkptBody(data []byte) ([]byte, error) {
+	if len(data) < len(ptCkptMagic)+sha256.Size+4 || string(data[:len(ptCkptMagic)]) != ptCkptMagic {
+		return nil, ErrCorruptFile
 	}
 	body := data[: len(data)-4 : len(data)-4]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return false
+		return nil, ErrCorruptFile
 	}
-	var want [sha256.Size]byte
-	copy(want[:], body[len(body)-sha256.Size:])
-	return sha256.Sum256(body[:len(body)-sha256.Size]) == want
+	payload := body[:len(body)-sha256.Size]
+	if sha256.Sum256(payload) != [sha256.Size]byte(body[len(payload):]) {
+		return nil, ErrDigestMismatch
+	}
+	return payload[len(ptCkptMagic):], nil
 }
 
 // decodePointCheckpoint decodes one standalone point checkpoint file,
-// verifying the CRC and the whole-file digest.
-func decodePointCheckpoint(proto rangetree.Tree, shards int, data []byte) (uint64, []rangetree.Tree, [sha256.Size]byte, error) {
-	var digest [sha256.Size]byte
-	if len(data) < len(ptCkptMagic)+sha256.Size+4 || string(data[:len(ptCkptMagic)]) != ptCkptMagic {
-		return 0, nil, digest, ErrCorruptFile
+// verifying the CRC and the whole-file digest, and returns its sequence
+// number, shard trees, and ladder record count.
+func decodePointCheckpoint(proto rangetree.Tree, shards int, data []byte) (uint64, []rangetree.Tree, int, error) {
+	p, err := ptCkptBody(data)
+	if err != nil {
+		return 0, nil, 0, err
 	}
-	body := data[: len(data)-4 : len(data)-4]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return 0, nil, digest, ErrCorruptFile
-	}
-	copy(digest[:], body[len(body)-sha256.Size:])
-	if sha256.Sum256(body[:len(body)-sha256.Size]) != digest {
-		return 0, nil, digest, ErrDigestMismatch
-	}
-	p := body[len(ptCkptMagic) : len(body)-sha256.Size]
 	seq, n := binary.Uvarint(p)
 	if n <= 0 {
-		return 0, nil, digest, ErrCorruptFile
+		return 0, nil, 0, ErrCorruptFile
 	}
 	p = p[n:]
 	nShards, n := binary.Uvarint(p)
 	if n <= 0 {
-		return 0, nil, digest, ErrCorruptFile
+		return 0, nil, 0, ErrCorruptFile
 	}
 	p = p[n:]
 	if nShards != uint64(shards) {
-		return 0, nil, digest, fmt.Errorf("%w: checkpoint has %d shards, store has %d", ErrCorruptFile, nShards, shards)
+		return 0, nil, 0, fmt.Errorf("%w: checkpoint has %d shards, store has %d", ErrCorruptFile, nShards, shards)
 	}
 	states := make([]rangetree.Tree, shards)
+	records := 0
 	for i := range states {
 		st, used, err := ladderStateAt(p)
 		if err != nil {
-			return 0, nil, digest, err
+			return 0, nil, 0, err
 		}
 		p = p[used:]
 		// Rehydrate rebuilds per level and validates the ladder
 		// invariants, so a crafted file cannot produce a broken tree.
 		t, err := proto.Rehydrate(st)
 		if err != nil {
-			return 0, nil, digest, err
+			return 0, nil, 0, err
 		}
 		states[i] = t
+		records += ladderRecords(st)
 	}
 	if len(p) != 0 {
-		return 0, nil, digest, ErrCorruptFile
+		return 0, nil, 0, ErrCorruptFile
 	}
-	return seq, states, digest, nil
+	return seq, states, records, nil
 }
 
-// DurablePointStore wraps a PointStore with the WAL and full ladder
-// checkpoints. The same opts and splits must be passed at every reopen;
-// requires opts.Pool == false. See DurableStore for the acknowledgment
-// and recovery guarantees — they are identical, including quarantine,
-// fallback, and scrub/repair.
+// pointFormat is DurablePointStore's ckptFormat: standalone PAMPTCK2
+// files, each its own base, so it keeps no chain state.
+type pointFormat struct {
+	opts   pam.Options
+	shards int
+}
+
+func (pointFormat) header(data []byte) (uint64, bool, bool) {
+	seq, ok := ptCkptSeq(data)
+	return seq, true, ok
+}
+
+func (pointFormat) encode(states []rangetree.Tree, seq uint64, _ bool) ([]byte, CheckpointStats, func()) {
+	file := append([]byte(nil), ptCkptMagic...)
+	file = binary.AppendUvarint(file, seq)
+	file = binary.AppendUvarint(file, uint64(len(states)))
+	records := 0
+	for _, t := range states {
+		st := t.Dehydrate()
+		records += ladderRecords(st)
+		file = appendLadderState(file, st)
+	}
+	digest := sha256.Sum256(file)
+	file = append(file, digest[:]...)
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(file))
+	cs := CheckpointStats{Records: records, Digest: digest, Base: true, ChainRecords: records, LiveRecords: records}
+	return file, cs, func() {}
+}
+
+func (f pointFormat) decode() chainDecoder[rangetree.Tree] {
+	c := &pointChain{proto: rangetree.New(f.opts), states: make([]rangetree.Tree, f.shards)}
+	for i := range c.states {
+		c.states[i] = rangetree.New(f.opts)
+	}
+	return c
+}
+
+func (pointFormat) check() func([]byte) error {
+	return func(data []byte) error {
+		_, err := ptCkptBody(data)
+		return err
+	}
+}
+
+// pointChain decodes a point checkpoint chain, which is a single base.
+type pointChain struct {
+	proto   rangetree.Tree
+	states  []rangetree.Tree
+	records int
+}
+
+func (c *pointChain) next(data []byte) (uint64, error) {
+	seq, states, records, err := decodePointCheckpoint(c.proto, len(c.states), data)
+	if err == nil {
+		c.states, c.records = states, records
+	}
+	return seq, err
+}
+
+func (c *pointChain) resume() ([]rangetree.Tree, int, error) { return c.states, c.records, nil }
+
+// DurablePointStore is a PointStore made durable by the engine
+// DurableStore uses — the WAL and full ladder checkpoints. The same
+// opts and splits must be passed at every reopen; requires opts.Pool ==
+// false. See DurableStore for the acknowledgment and recovery
+// guarantees — they are identical, including quarantine, fallback, and
+// scrub/repair. Apply, ApplyAsync, Insert, InsertAsync, Delete,
+// DeleteAsync, Snapshot, ReaderView, Stats, Splits, PendingCarries,
+// and NumShards are the embedded PointStore's; through the durable
+// engine a future resolves, and Apply returns nil, only after the
+// batch's WAL record is fsynced.
 type DurablePointStore struct {
-	s  *PointStore
-	fs FS
-	w  *wal[PointOp]
-
-	ckptMu  sync.Mutex
-	every   uint64
-	batches atomic.Uint64
-	keep    int
-
-	epoch    atomic.Uint64
-	recovery RecoveryStats
-	scrub    *scrubber
-
-	errMu sync.Mutex
-	bgErr error
+	*pointStore
+	*durable[PointOp, rangetree.Tree]
 }
 
 // OpenDurablePointStore opens (or creates) a durable point store on
@@ -288,358 +344,20 @@ type DurablePointStore struct {
 // already full rewrites, so every checkpoint bounds recovery the way a
 // compaction does.
 func OpenDurablePointStore(opts pam.Options, splits []float64, cfg DurableConfig) (*DurablePointStore, error) {
-	if cfg.FS == nil {
-		return nil, errors.New("serve: DurableConfig.FS is required")
-	}
-	if opts.Pool {
-		return nil, errors.New("serve: durable stores require Options.Pool == false")
-	}
-	names, err := cfg.FS.List()
+	cf := pointFormat{opts: opts, shards: len(splits) + 1}
+	d, states, next, err := openDurable(opts, cfg, pointOpEnc, cf, pointRouter(splits), applyPointOps)
 	if err != nil {
 		return nil, err
 	}
-	sweepTmpFiles(cfg.FS, names)
-	ckpts, walGens := parseDurableDir(names)
-	shards := len(splits) + 1
-	proto := rangetree.New(opts)
-
-	// Newest intact checkpoint wins; corrupt ones are quarantined and
-	// recovery falls back, tracking the highest sequence number any
-	// readable header claims so a fallback can never silently lose
-	// acknowledged batches.
-	var rec RecoveryStats
-	states := make([]rangetree.Tree, shards)
-	for i := range states {
-		states[i] = rangetree.New(opts)
-	}
-	var seq, maxSeq uint64
-	lastIdx := 0
-	for i := len(ckpts) - 1; i >= 0; i-- {
-		idx := ckpts[i]
-		data, err := cfg.FS.ReadFile(ckptName(idx))
-		if err != nil {
-			return nil, err
-		}
-		if s, ok := ptCkptSeq(data); ok && s > maxSeq {
-			maxSeq = s
-		}
-		s, st, _, derr := decodePointCheckpoint(proto, shards, data)
-		if derr == nil {
-			seq, states, lastIdx = s, st, idx
-			rec.ChainFiles = 1
-			break
-		}
-		q, qerr := quarantineFile(cfg.FS, ckptName(idx))
-		if qerr != nil {
-			return nil, qerr
-		}
-		rec.Quarantined = append(rec.Quarantined, q)
-	}
-	// Older checkpoints below the chosen one stay on disk until the next
-	// checkpoint's retention pass drops them.
-
-	route := pointRouter(splits)
-	next := seq
-	maxGen := lastIdx
-	for _, g := range walGens {
-		if g < lastIdx {
-			continue
-		}
-		if g > maxGen {
-			maxGen = g
-		}
-		data, err := cfg.FS.ReadFile(walName(g))
-		if err != nil {
-			return nil, err
-		}
-		batches, valid := decodeWALFile(pointOpEnc, data)
-		for _, b := range batches {
-			if b.seq != next {
-				return nil, fmt.Errorf("%s: %w: batch seq %d, want %d", walName(g), ErrCorruptFile, b.seq, next)
-			}
-			per := make([][]PointOp, shards)
-			for _, op := range b.ops {
-				i := route(op)
-				per[i] = append(per[i], op)
-			}
-			for i, sub := range per {
-				if len(sub) > 0 {
-					states[i] = applyPointOps(states[i], sub)
-				}
-			}
-			next++
-			rec.WALBatches++
-		}
-		if valid != len(data) {
-			if err := writeFileAtomic(cfg.FS, walTmpName, walName(g), data[:valid]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if next < maxSeq {
-		return nil, fmt.Errorf("%w: recovered to seq %d, but a checkpoint at seq %d existed (quarantined: %s)",
-			ErrUnrecoverable, next, maxSeq, strings.Join(rec.Quarantined, ", "))
-	}
-	if len(rec.Quarantined) > 0 {
-		rec.Repaired = true
-	}
-
-	w := newWAL(cfg.FS, pointOpEnc, maxGen, next)
-	keep := cfg.KeepGenerations
-	if keep < 1 {
-		keep = 1
-	}
-	d := &DurablePointStore{
-		fs:       cfg.FS,
-		w:        w,
-		every:    uint64(cfg.CheckpointEvery),
-		keep:     keep,
-		recovery: rec,
-	}
-	h := hooks[PointOp]{logAppend: w.appendLocked, commit: d.commitSeq}
-	d.s = newPointStoreAt(opts, splits, states, next, h, cfg.Tuning)
-	if cfg.ScrubEvery > 0 {
-		d.scrub = startScrubber(cfg.ScrubEvery, cfg.ScrubBytesPerSec, scrubHooks{
-			epoch:  d.epoch.Load,
-			verify: d.verifyPass,
-			repair: func(corrupt []string) error { return d.repairCorrupt(corrupt) },
-			onErr:  d.setErr,
-		})
-	}
-	return d, nil
+	s := newPointStoreAt(opts, splits, states, next, d.hooks(), cfg.Tuning)
+	return &DurablePointStore{pointStore: s, durable: d.start(s.eng, cfg)}, nil
 }
 
-// Recovery reports what the opening recovery read and repaired.
-func (d *DurablePointStore) Recovery() RecoveryStats { return d.recovery }
+// Rebalance does nothing and returns (false, nil): a durable store's
+// routing is part of its on-disk schema and never changes.
+func (d *DurablePointStore) Rebalance() (bool, error) { return false, nil }
 
-// commitSeq is the resolver-side durability step; see
-// DurableStore.commitSeq.
-func (d *DurablePointStore) commitSeq(seq uint64) error {
-	if err := d.w.Sync(seq); err != nil {
-		return err
-	}
-	if d.every > 0 && d.batches.Add(1)%d.every == 0 {
-		if _, err := d.Checkpoint(); err != nil && !errors.Is(err, ErrClosed) {
-			d.setErr(err)
-		}
-	}
-	return nil
-}
-
-// Apply submits one write batch; acknowledgment (nil error) means the
-// batch is durable. See DurableStore.Apply.
-func (d *DurablePointStore) Apply(ops []PointOp) (uint64, error) {
-	return d.s.Apply(ops)
-}
-
-// ApplyAsync submits one write batch fire-and-forget; the returned
-// future resolves only after the batch's WAL record is fsynced. See
-// DurableStore.ApplyAsync.
-func (d *DurablePointStore) ApplyAsync(ops []PointOp) (*Future, error) {
-	return d.s.ApplyAsync(ops)
-}
-
-// Insert durably adds the weighted point.
-func (d *DurablePointStore) Insert(p rangetree.Point, w int64) (uint64, error) {
-	return d.Apply([]PointOp{InsertPoint(p, w)})
-}
-
-// InsertAsync is the fire-and-forget Insert; see ApplyAsync.
-func (d *DurablePointStore) InsertAsync(p rangetree.Point, w int64) (*Future, error) {
-	return d.ApplyAsync([]PointOp{InsertPoint(p, w)})
-}
-
-// Delete durably removes the point.
-func (d *DurablePointStore) Delete(p rangetree.Point) (uint64, error) {
-	return d.Apply([]PointOp{DeletePoint(p)})
-}
-
-// DeleteAsync is the fire-and-forget Delete; see ApplyAsync.
-func (d *DurablePointStore) DeleteAsync(p rangetree.Point) (*Future, error) {
-	return d.ApplyAsync([]PointOp{DeletePoint(p)})
-}
-
-// Stats samples the per-shard pipeline counters; see Store.Stats.
-func (d *DurablePointStore) Stats() []ShardStats { return d.s.Stats() }
-
-// Snapshot assembles a consistent cross-shard view; see Store.Snapshot.
-func (d *DurablePointStore) Snapshot() (PointView, error) { return d.s.Snapshot() }
-
-// ReaderView returns the read-only replica view; see
-// PointStore.ReaderView.
-func (d *DurablePointStore) ReaderView() (PointView, error) { return d.s.ReaderView() }
-
-// NumShards returns the partition count.
-func (d *DurablePointStore) NumShards() int { return d.s.NumShards() }
-
-// checkpointAt writes a standalone checkpoint and drops files below the
-// retention bound (checkpoints and WAL generations older than keepBack
-// files behind the new one).
-func (d *DurablePointStore) checkpointAt(keepBack int) (CheckpointStats, error) {
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-	var idx int
-	states, _, seq, _, ok := d.s.eng.trySnapshotWith(func() { idx = d.w.rotateLocked() })
-	if !ok {
-		return CheckpointStats{}, ErrClosed
-	}
-
-	file := append([]byte(nil), ptCkptMagic...)
-	file = binary.AppendUvarint(file, seq)
-	file = binary.AppendUvarint(file, uint64(len(states)))
-	records := 0
-	for _, t := range states {
-		st := t.Dehydrate()
-		records += len(st.BufAdds) + len(st.BufDels)
-		for _, lv := range st.Levels {
-			records += len(lv.Adds) + len(lv.Dels)
-		}
-		file = appendLadderState(file, st)
-	}
-	digest := sha256.Sum256(file)
-	file = append(file, digest[:]...)
-	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(file))
-	if err := writeFileAtomic(d.fs, ckptTmpName, ckptName(idx), file); err != nil {
-		return CheckpointStats{}, err
-	}
-	d.epoch.Add(1)
-	if seq == 0 || d.w.Sync(seq-1) == nil {
-		dropOldWALs(d.fs, idx-keepBack)
-		dropOldCkpts(d.fs, idx-keepBack)
-	}
-	return CheckpointStats{
-		Seq: seq, Index: idx, Records: records, Bytes: len(file),
-		Digest: digest, Base: true, ChainRecords: records, LiveRecords: records,
-	}, nil
-}
-
-// Checkpoint writes a standalone checkpoint of every shard's ladder
-// state at one sequence point, publishes it atomically, and drops the
-// files it supersedes (keeping KeepGenerations checkpoints and WAL
-// generations for corruption fallback). Records in the returned stats
-// counts the ladder records serialized (point checkpoints are full, not
-// incremental, so every checkpoint is a base).
-func (d *DurablePointStore) Checkpoint() (CheckpointStats, error) {
-	return d.checkpointAt(d.keep)
-}
-
-// Compact writes a fresh checkpoint and drops everything it supersedes,
-// including the fallback window — the point-store form of chain
-// compaction (point checkpoints are already full rewrites, so Compact
-// differs from Checkpoint only in retention). It is also the scrubber's
-// repair step.
-func (d *DurablePointStore) Compact() (CheckpointStats, error) {
-	return d.checkpointAt(0)
-}
-
-// verifyPass re-reads and verifies every sealed durable file once:
-// checkpoint CRC and whole-file digest, WAL framing. Reads happen under
-// ckptMu; verification outside it.
-func (d *DurablePointStore) verifyPass() (corrupt []string, files, bytes int, err error) {
-	d.ckptMu.Lock()
-	names, lerr := d.fs.List()
-	if lerr != nil {
-		d.ckptMu.Unlock()
-		return nil, 0, 0, lerr
-	}
-	ckpts, walGens := parseDurableDir(names)
-	sealed := d.w.sealedBelow()
-	ckptData := make(map[int][]byte, len(ckpts))
-	walData := make(map[int][]byte, len(walGens))
-	for _, idx := range ckpts {
-		if data, rerr := d.fs.ReadFile(ckptName(idx)); rerr == nil {
-			ckptData[idx] = data
-		}
-	}
-	for _, g := range walGens {
-		if g >= sealed {
-			continue
-		}
-		if data, rerr := d.fs.ReadFile(walName(g)); rerr == nil {
-			walData[g] = data
-		}
-	}
-	d.ckptMu.Unlock()
-
-	for _, idx := range ckpts {
-		data, ok := ckptData[idx]
-		if !ok {
-			continue
-		}
-		files++
-		bytes += len(data)
-		if !verifyPtCkptStructure(data) {
-			corrupt = append(corrupt, ckptName(idx))
-		}
-	}
-	for _, g := range walGens {
-		data, ok := walData[g]
-		if !ok {
-			continue
-		}
-		files++
-		bytes += len(data)
-		if _, valid := decodeWALFile(pointOpEnc, data); valid != len(data) {
-			corrupt = append(corrupt, walName(g))
-		}
-	}
-	return corrupt, files, bytes, nil
-}
-
-// Verify runs one synchronous, check-only scrub pass; see
-// DurableStore.Verify.
-func (d *DurablePointStore) Verify() ([]string, error) {
-	corrupt, _, _, err := d.verifyPass()
-	return corrupt, err
-}
-
-// repairCorrupt quarantines the corrupt files and rewrites a fresh
-// checkpoint from the live state.
-func (d *DurablePointStore) repairCorrupt(corrupt []string) error {
-	d.ckptMu.Lock()
-	for _, name := range corrupt {
-		if _, err := quarantineFile(d.fs, name); err != nil && !errors.Is(err, os.ErrNotExist) {
-			d.ckptMu.Unlock()
-			return err
-		}
-	}
-	d.epoch.Add(1)
-	d.ckptMu.Unlock()
-	_, err := d.Compact()
-	return err
-}
-
-// ScrubStats reports the background scrubber's lifetime counters (zero
-// when no scrubber is configured).
-func (d *DurablePointStore) ScrubStats() ScrubStats {
-	if d.scrub == nil {
-		return ScrubStats{}
-	}
-	return d.scrub.Stats()
-}
-
-// Err returns the first background error; see DurableStore.Err.
-func (d *DurablePointStore) Err() error {
-	d.errMu.Lock()
-	defer d.errMu.Unlock()
-	return d.bgErr
-}
-
-func (d *DurablePointStore) setErr(err error) {
-	d.errMu.Lock()
-	if d.bgErr == nil {
-		d.bgErr = err
-	}
-	d.errMu.Unlock()
-}
-
-// Close stops the scrubber and the shard goroutines and flushes the
-// WAL. In-flight futures resolve (durably committed) before Close
-// returns.
-func (d *DurablePointStore) Close() error {
-	if d.scrub != nil {
-		d.scrub.Stop()
-	}
-	d.s.Close()
-	return d.w.Close()
-}
+// Close stops the scrubber, the shard goroutines, and the carry
+// workers, and flushes the WAL. In-flight futures resolve (durably
+// committed) before Close returns; subsequent writes return ErrClosed.
+func (d *DurablePointStore) Close() error { return d.close(d.pointStore.Close) }

@@ -50,6 +50,12 @@ type PointStore struct {
 	policyOnce sync.Once
 }
 
+// pointStore is PointStore under an unexported name: DurablePointStore
+// embeds it, promoting the store's methods without exporting a field
+// that reaches the inner store (whose Close would skip the WAL flush and
+// whose Rebalance would change the on-disk routing).
+type pointStore = PointStore
+
 // NewPointStore returns a point store partitioned at the given strictly
 // increasing x splits (len(splits)+1 shards): a point belongs to the
 // shard of its x coordinate, points with x at or above a split go

@@ -32,6 +32,41 @@ func TestNewHashStoreZeroShards(t *testing.T) {
 	}
 }
 
+// TestNilHashOrCodec checks the constructors reject a nil hash or codec
+// with an error: a store built on one panics on its first write, under
+// the sequencer lock, wedging it even if the caller recovers.
+func TestNilHashOrCodec(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func() (opened bool, err error)
+	}{
+		{"NewHashStore/hash", func() (bool, error) {
+			s, err := NewHashStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](pam.Options{}, 2, nil)
+			return s != nil, err
+		}},
+		{"OpenDurableStore/hash", func() (bool, error) {
+			d, err := OpenDurableStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](
+				pam.Options{}, 2, nil, pam.Uint64Codec(), DurableConfig{FS: NewMemFS()})
+			return d != nil, err
+		}},
+		{"OpenDurableStore/codec", func() (bool, error) {
+			d, err := OpenDurableStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](
+				pam.Options{}, 2, mixHash, nil, DurableConfig{FS: NewMemFS()})
+			return d != nil, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opened, err := tc.open()
+			if err == nil {
+				t.Fatalf("%s accepted a nil argument", tc.name)
+			}
+			if opened {
+				t.Fatalf("%s returned a store alongside the error", tc.name)
+			}
+		})
+	}
+}
+
 // TestRebalanceShardCountError feeds the engine a redistribute function
 // that changes the shard count: the rebalance must fail with
 // ErrRebalanceShards instead of panicking, reinstall the old states,

@@ -10,9 +10,9 @@ import (
 // Background scrubbing: a store-agnostic loop that periodically re-reads
 // and verifies every sealed durable file, quarantines corrupt ones, and
 // triggers a repair (compaction of the live state into a fresh base).
-// DurableStore and DurablePointStore plug in through scrubHooks; the
-// scrubber itself only paces passes, throttles bandwidth, and keeps
-// counters.
+// The durable core both durable stores embed plugs in through
+// scrubHooks; the scrubber itself only paces passes, throttles
+// bandwidth, and keeps counters.
 
 // ScrubStats reports a background scrubber's lifetime counters.
 type ScrubStats struct {
@@ -190,9 +190,10 @@ func VerifyFiles(fsys FS) (VerifyReport, error) {
 // resets it so later files aren't blamed for the hole.
 func verifyCkptStructure(data []byte, nextID *uint64, haveChain *bool) bool {
 	if len(data) >= len(ptCkptMagic) && string(data[:len(ptCkptMagic)]) == ptCkptMagic {
-		return verifyPtCkptStructure(data)
+		_, err := ptCkptBody(data)
+		return err == nil
 	}
-	hdr, ok := ckptHeaderFull(data)
+	hdr, _, ok := ckptHeaderFull(data)
 	if !ok || len(data) < len(ckptMagic)+4 {
 		*haveChain = false
 		return false

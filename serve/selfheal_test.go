@@ -31,6 +31,68 @@ func openDurCfg(fs FS, shards int, cfg DurableConfig) (*durSumStore, error) {
 		pam.Options{}, shards, mixHash, pam.Uint64Codec(), cfg)
 }
 
+// durableLifecycle is the lifecycle surface both durable stores share.
+type durableLifecycle interface {
+	Checkpoint() (CheckpointStats, error)
+	Compact() (CheckpointStats, error)
+	Verify() ([]string, error)
+	ScrubStats() ScrubStats
+	Err() error
+	Recovery() RecoveryStats
+	Rebalance() (bool, error)
+	Close() error
+}
+
+// durableHandle is one open durable store as the flavour-agnostic
+// lifecycle tests see it: the shared lifecycle methods, put (entry i
+// with weight w — key i of a map store, point (i, 0) of a point store),
+// and contents (a snapshot's sequence number and entries i -> weight).
+type durableHandle struct {
+	durableLifecycle
+	put      func(i uint64, w int64) (uint64, error)
+	contents func() (seq uint64, entries map[uint64]int64)
+}
+
+// durableFlavours opens each durable store flavour, with the given
+// shard count and config on fs, as a durableHandle.
+var durableFlavours = []struct {
+	name string
+	open func(fs FS, shards int, cfg DurableConfig) (*durableHandle, error)
+}{
+	{"map", func(fs FS, shards int, cfg DurableConfig) (*durableHandle, error) {
+		d, err := openDurCfg(fs, shards, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &durableHandle{d, d.Put, func() (uint64, map[uint64]int64) {
+			v, _ := d.Snapshot()
+			entries := map[uint64]int64{}
+			v.ForEach(func(k uint64, w int64) bool { entries[k] = w; return true })
+			return v.Seq(), entries
+		}}, nil
+	}},
+	{"points", func(fs FS, shards int, cfg DurableConfig) (*durableHandle, error) {
+		splits := make([]float64, shards-1)
+		for j := range splits {
+			splits[j] = float64(16 * (j + 1))
+		}
+		cfg.FS = fs
+		d, err := OpenDurablePointStore(pam.Options{}, splits, cfg)
+		if err != nil {
+			return nil, err
+		}
+		put := func(i uint64, w int64) (uint64, error) { return d.Insert(rangetree.Point{X: float64(i)}, w) }
+		return &durableHandle{d, put, func() (uint64, map[uint64]int64) {
+			v, _ := d.Snapshot()
+			entries := map[uint64]int64{}
+			for _, p := range v.ReportAll(everything) {
+				entries[uint64(p.X)] = p.W
+			}
+			return v.Seq(), entries
+		}}, nil
+	}},
+}
+
 // TestCompactBoundsRecovery is the bounded-recovery acceptance test:
 // after many checkpoints of a churning store, recovery decodes the
 // whole chain; after Compact it decodes O(live records), independent of
@@ -291,239 +353,263 @@ func TestRecoveryRefusesSilentLoss(t *testing.T) {
 	}
 }
 
-// TestVerifyReportsCorruption checks the synchronous check-only pass:
-// clean store verifies clean, a flipped bit in a chain file is named,
-// and Verify never modifies anything.
+// TestVerifyReportsCorruption checks the synchronous check-only pass on
+// both flavours: clean store verifies clean, a flipped bit in a
+// checkpoint file is named, and Verify never modifies anything.
 func TestVerifyReportsCorruption(t *testing.T) {
-	fs := NewMemFS()
-	d, err := openDurSum(fs, 2, 0)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer d.Close()
-	for i := uint64(0); i < 50; i++ {
-		if _, err := d.Put(i, int64(i)); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		if i%17 == 0 {
-			if _, err := d.Checkpoint(); err != nil {
-				t.Fatalf("Checkpoint: %v", err)
+	for _, fl := range durableFlavours {
+		t.Run(fl.name, func(t *testing.T) {
+			fs := NewMemFS()
+			d, err := fl.open(fs, 2, DurableConfig{})
+			if err != nil {
+				t.Fatalf("open: %v", err)
 			}
-		}
-	}
-	if corrupt, err := d.Verify(); err != nil || len(corrupt) != 0 {
-		t.Fatalf("clean store Verify = %v, %v", corrupt, err)
-	}
+			defer d.Close()
+			for i := uint64(0); i < 50; i++ {
+				if _, err := d.put(i, int64(i)); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+				if i%17 == 0 {
+					if _, err := d.Checkpoint(); err != nil {
+						t.Fatalf("Checkpoint: %v", err)
+					}
+				}
+			}
+			if corrupt, err := d.Verify(); err != nil || len(corrupt) != 0 {
+				t.Fatalf("clean store Verify = %v, %v", corrupt, err)
+			}
 
-	names, _ := fs.List()
-	ckpts, _ := parseDurableDir(names)
-	victim := ckptName(ckpts[len(ckpts)-1])
-	if !fs.CorruptFile(victim, rand.New(rand.NewSource(3))) {
-		t.Fatalf("CorruptFile(%s) found nothing to flip", victim)
-	}
-	corrupt, err := d.Verify()
-	if err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	found := false
-	for _, name := range corrupt {
-		if name == victim {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Verify after flipping %s reported %v", victim, corrupt)
-	}
-	if _, err := fs.ReadFile(victim); err != nil {
-		t.Fatalf("Verify moved or deleted the corrupt file: %v", err)
+			names, _ := fs.List()
+			ckpts, _ := parseDurableDir(names)
+			victim := ckptName(ckpts[len(ckpts)-1])
+			if !fs.CorruptFile(victim, rand.New(rand.NewSource(3))) {
+				t.Fatalf("CorruptFile(%s) found nothing to flip", victim)
+			}
+			corrupt, err := d.Verify()
+			if err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+			found := false
+			for _, name := range corrupt {
+				if name == victim {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("Verify after flipping %s reported %v", victim, corrupt)
+			}
+			if _, err := fs.ReadFile(victim); err != nil {
+				t.Fatalf("Verify moved or deleted the corrupt file: %v", err)
+			}
+		})
 	}
 }
 
-// TestScrubRepairsOnline runs the full self-healing loop live: a bit
-// flips on "disk", the background scrubber finds it, quarantines the
-// file, and compacts a fresh base from the in-memory state — all while
-// the store keeps serving; the next recovery is clean.
+// TestScrubRepairsOnline runs the full self-healing loop live on both
+// flavours: a bit flips on "disk", the background scrubber finds it,
+// quarantines the file, and compacts a fresh base from the in-memory
+// state — all while the store keeps serving; the next recovery is clean.
 func TestScrubRepairsOnline(t *testing.T) {
-	fs := NewMemFS()
-	d, err := openDurCfg(fs, 2, DurableConfig{ScrubEvery: time.Millisecond})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	for i := uint64(0); i < 40; i++ {
-		if _, err := d.Put(i, int64(2*i)); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		if i == 19 || i == 39 {
-			if _, err := d.Checkpoint(); err != nil {
-				t.Fatalf("Checkpoint: %v", err)
+	for _, fl := range durableFlavours {
+		t.Run(fl.name, func(t *testing.T) {
+			fs := NewMemFS()
+			d, err := fl.open(fs, 2, DurableConfig{ScrubEvery: time.Millisecond})
+			if err != nil {
+				t.Fatalf("open: %v", err)
 			}
-		}
-	}
-	names, _ := fs.List()
-	ckpts, _ := parseDurableDir(names)
-	victim := ckptName(ckpts[len(ckpts)-1])
-	if !fs.CorruptFile(victim, rand.New(rand.NewSource(9))) {
-		t.Fatalf("CorruptFile(%s) found nothing to flip", victim)
-	}
+			for i := uint64(0); i < 40; i++ {
+				if _, err := d.put(i, int64(2*i)); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+				if i == 19 || i == 39 {
+					if _, err := d.Checkpoint(); err != nil {
+						t.Fatalf("Checkpoint: %v", err)
+					}
+				}
+			}
+			names, _ := fs.List()
+			ckpts, _ := parseDurableDir(names)
+			victim := ckptName(ckpts[len(ckpts)-1])
+			if !fs.CorruptFile(victim, rand.New(rand.NewSource(9))) {
+				t.Fatalf("CorruptFile(%s) found nothing to flip", victim)
+			}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st := d.ScrubStats(); st.Repairs >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scrubber never repaired; stats %+v, err %v", d.ScrubStats(), d.Err())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("background error after repair: %v", err)
-	}
-	st := d.ScrubStats()
-	if st.CorruptFound < 1 || st.Quarantined < 1 {
-		t.Fatalf("scrub stats after repair: %+v", st)
-	}
-	if _, err := fs.ReadFile(victim + quarantineSuffix); err != nil {
-		t.Fatalf("corrupt file was not quarantined: %v", err)
-	}
-	if corrupt, err := d.Verify(); err != nil || len(corrupt) != 0 {
-		t.Fatalf("store still corrupt after repair: %v, %v", corrupt, err)
-	}
-	// The store kept serving through the repair and the next recovery is
-	// clean and complete.
-	if _, err := d.Put(1000, 1); err != nil {
-		t.Fatalf("Put after repair: %v", err)
-	}
-	d.Close()
-	d2, err := openDurSum(NewMemFSFrom(fs.DurableState()), 2, 0)
-	if err != nil {
-		t.Fatalf("reopen after online repair: %v", err)
-	}
-	defer d2.Close()
-	if len(d2.Recovery().Quarantined) != 0 {
-		t.Fatalf("recovery after repair still found corruption: %v", d2.Recovery().Quarantined)
-	}
-	v, _ := d2.Snapshot()
-	if v.Size() != 41 || v.Seq() != 41 {
-		t.Fatalf("recovered size %d seq %d, want 41/41", v.Size(), v.Seq())
-	}
-	for i := uint64(0); i < 40; i++ {
-		if got, ok := v.Find(i); !ok || got != int64(2*i) {
-			t.Fatalf("Find(%d) = %d,%v after repair cycle", i, got, ok)
-		}
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				if st := d.ScrubStats(); st.Repairs >= 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("scrubber never repaired; stats %+v, err %v", d.ScrubStats(), d.Err())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := d.Err(); err != nil {
+				t.Fatalf("background error after repair: %v", err)
+			}
+			st := d.ScrubStats()
+			if st.CorruptFound < 1 || st.Quarantined < 1 {
+				t.Fatalf("scrub stats after repair: %+v", st)
+			}
+			if _, err := fs.ReadFile(victim + quarantineSuffix); err != nil {
+				t.Fatalf("corrupt file was not quarantined: %v", err)
+			}
+			if corrupt, err := d.Verify(); err != nil || len(corrupt) != 0 {
+				t.Fatalf("store still corrupt after repair: %v, %v", corrupt, err)
+			}
+			// The store kept serving through the repair and the next
+			// recovery is clean and complete.
+			if _, err := d.put(1000, 1); err != nil {
+				t.Fatalf("Put after repair: %v", err)
+			}
+			d.Close()
+			d2, err := fl.open(NewMemFSFrom(fs.DurableState()), 2, DurableConfig{})
+			if err != nil {
+				t.Fatalf("reopen after online repair: %v", err)
+			}
+			defer d2.Close()
+			if len(d2.Recovery().Quarantined) != 0 {
+				t.Fatalf("recovery after repair still found corruption: %v", d2.Recovery().Quarantined)
+			}
+			seq, got := d2.contents()
+			if len(got) != 41 || seq != 41 {
+				t.Fatalf("recovered size %d seq %d, want 41/41", len(got), seq)
+			}
+			for i := uint64(0); i < 40; i++ {
+				if w, ok := got[i]; !ok || w != int64(2*i) {
+					t.Fatalf("Find(%d) = %d,%v after repair cycle", i, w, ok)
+				}
+			}
+		})
 	}
 }
 
 // TestScrubRepairsSealedWAL checks the scrubber also covers sealed WAL
-// generations: a flip in a kept (sealed, pre-checkpoint) generation is
-// found and repaired by compaction, which retires the damaged file.
+// generations on both flavours: a flip in a kept (sealed,
+// pre-checkpoint) generation is found and repaired by compaction, which
+// retires the damaged file.
 func TestScrubRepairsSealedWAL(t *testing.T) {
-	fs := NewMemFS()
-	d, err := openDurCfg(fs, 1, DurableConfig{ScrubEvery: time.Millisecond, KeepGenerations: 2})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	for i := uint64(0); i < 20; i++ {
-		if _, err := d.Put(i, 1); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	if _, err := d.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	for i := uint64(20); i < 30; i++ {
-		if _, err := d.Put(i, 1); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	if _, err := d.Checkpoint(); err != nil { // seals the generation holding batches 20..29
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	names, _ := fs.List()
-	_, gens := parseDurableDir(names)
-	if len(gens) < 2 {
-		t.Fatalf("expected kept WAL generations, have %v", gens)
-	}
-	victim := walName(gens[0])
-	if !fs.CorruptFile(victim, rand.New(rand.NewSource(4))) {
-		t.Fatalf("CorruptFile(%s) found nothing to flip", victim)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st := d.ScrubStats(); st.Repairs >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scrubber never repaired; stats %+v, err %v", d.ScrubStats(), d.Err())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	d.Close()
-	d2, err := openDurSum(NewMemFSFrom(fs.DurableState()), 1, 0)
-	if err != nil {
-		t.Fatalf("reopen after WAL repair: %v", err)
-	}
-	defer d2.Close()
-	v, _ := d2.Snapshot()
-	if v.Size() != 30 {
-		t.Fatalf("recovered size %d, want 30", v.Size())
+	for _, fl := range durableFlavours {
+		t.Run(fl.name, func(t *testing.T) {
+			fs := NewMemFS()
+			d, err := fl.open(fs, 1, DurableConfig{ScrubEvery: time.Millisecond, KeepGenerations: 2})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			for i := uint64(0); i < 20; i++ {
+				if _, err := d.put(i, 1); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+			}
+			if _, err := d.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			for i := uint64(20); i < 30; i++ {
+				if _, err := d.put(i, 1); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+			}
+			if _, err := d.Checkpoint(); err != nil { // seals the generation holding batches 20..29
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			names, _ := fs.List()
+			_, gens := parseDurableDir(names)
+			if len(gens) < 2 {
+				t.Fatalf("expected kept WAL generations, have %v", gens)
+			}
+			victim := walName(gens[0])
+			if !fs.CorruptFile(victim, rand.New(rand.NewSource(4))) {
+				t.Fatalf("CorruptFile(%s) found nothing to flip", victim)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				if st := d.ScrubStats(); st.Repairs >= 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("scrubber never repaired; stats %+v, err %v", d.ScrubStats(), d.Err())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			d.Close()
+			d2, err := fl.open(NewMemFSFrom(fs.DurableState()), 1, DurableConfig{})
+			if err != nil {
+				t.Fatalf("reopen after WAL repair: %v", err)
+			}
+			defer d2.Close()
+			if _, got := d2.contents(); len(got) != 30 {
+				t.Fatalf("recovered size %d, want 30", len(got))
+			}
+		})
 	}
 }
 
 // TestPointCheckpointTamper pins the point-store analogue: the
 // whole-file digest catches a flip the adversary hid from the CRC, and
-// recovery falls back to the older kept checkpoint plus WAL replay.
+// recovery falls back to the older kept checkpoint plus WAL replay —
+// also when the store was reopened in between, which must not drop the
+// fallback checkpoint.
 func TestPointCheckpointTamper(t *testing.T) {
-	fs := NewMemFS()
-	open := func(f FS) (*DurablePointStore, error) {
-		return OpenDurablePointStore(pam.Options{}, []float64{8}, DurableConfig{FS: f})
-	}
-	d, err := open(fs)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := d.Insert(rangetree.Point{X: float64(i), Y: float64(i % 5)}, 1); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	if _, err := d.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint 1: %v", err)
-	}
-	for i := 20; i < 30; i++ {
-		if _, err := d.Insert(rangetree.Point{X: float64(i), Y: 1}, 2); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	tail, err := d.Checkpoint()
-	if err != nil {
-		t.Fatalf("Checkpoint 2: %v", err)
-	}
-	d.Close()
+	for _, reopen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reopen=%v", reopen), func(t *testing.T) {
+			fs := NewMemFS()
+			open := func(f FS) (*DurablePointStore, error) {
+				return OpenDurablePointStore(pam.Options{}, []float64{8}, DurableConfig{FS: f})
+			}
+			d, err := open(fs)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			for i := 0; i < 20; i++ {
+				if _, err := d.Insert(rangetree.Point{X: float64(i), Y: float64(i % 5)}, 1); err != nil {
+					t.Fatalf("Insert: %v", err)
+				}
+			}
+			if _, err := d.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint 1: %v", err)
+			}
+			for i := 20; i < 30; i++ {
+				if _, err := d.Insert(rangetree.Point{X: float64(i), Y: 1}, 2); err != nil {
+					t.Fatalf("Insert: %v", err)
+				}
+			}
+			tail, err := d.Checkpoint()
+			if err != nil {
+				t.Fatalf("Checkpoint 2: %v", err)
+			}
+			d.Close()
+			if reopen {
+				if d, err = open(fs); err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				d.Close()
+			}
 
-	state := fs.DurableState()
-	name := ckptName(tail.Index)
-	// Flip a body bit and re-patch the CRC: only the sha256 digest can
-	// catch this.
-	data := state[name]
-	data[len(ptCkptMagic)+2] ^= 0x01
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
-	if _, _, _, derr := decodePointCheckpoint(rangetree.New(pam.Options{}), 2, data); !errors.Is(derr, ErrDigestMismatch) {
-		t.Fatalf("decode of CRC-repaired tamper = %v, want ErrDigestMismatch", derr)
-	}
+			state := fs.DurableState()
+			name := ckptName(tail.Index)
+			// Flip a body bit and re-patch the CRC: only the sha256 digest can
+			// catch this.
+			data := state[name]
+			data[len(ptCkptMagic)+2] ^= 0x01
+			binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+			if _, _, _, derr := decodePointCheckpoint(rangetree.New(pam.Options{}), 2, data); !errors.Is(derr, ErrDigestMismatch) {
+				t.Fatalf("decode of CRC-repaired tamper = %v, want ErrDigestMismatch", derr)
+			}
 
-	d2, err := open(NewMemFSFrom(state))
-	if err != nil {
-		t.Fatalf("recovery with tampered checkpoint: %v", err)
-	}
-	defer d2.Close()
-	rec := d2.Recovery()
-	if !rec.Repaired || len(rec.Quarantined) != 1 {
-		t.Fatalf("recovery stats %+v, want Repaired with one quarantine", rec)
-	}
-	v, _ := d2.Snapshot()
-	if v.Size() != 30 || v.QuerySum(everything) != 40 {
-		t.Fatalf("fallback recovered size %d sum %d, want 30/40", v.Size(), v.QuerySum(everything))
+			d2, err := open(NewMemFSFrom(state))
+			if err != nil {
+				t.Fatalf("recovery with tampered checkpoint: %v", err)
+			}
+			defer d2.Close()
+			rec := d2.Recovery()
+			if !rec.Repaired || len(rec.Quarantined) != 1 {
+				t.Fatalf("recovery stats %+v, want Repaired with one quarantine", rec)
+			}
+			v, _ := d2.Snapshot()
+			if v.Size() != 30 || v.QuerySum(everything) != 40 {
+				t.Fatalf("fallback recovered size %d sum %d, want 30/40", v.Size(), v.QuerySum(everything))
+			}
+		})
 	}
 }
 

@@ -129,9 +129,17 @@
 // # Durability and self-healing
 //
 // Durable stores (DurableStore, DurablePointStore) add a write-ahead
-// log, incremental block checkpoints, chain compaction, Merkle root
-// digests, and a scrub/repair pipeline; see durable.go for the file
-// formats and recovery protocol. The compaction crash-safety contract:
+// log, checkpoints, compaction, root digests, and a scrub/repair
+// pipeline. Both run on one durability engine, which each embeds next
+// to its store: the WAL, recovery, checkpoint publication and
+// retention, the compaction policy, and scrub/repair are implemented
+// once. The flavours differ only in their WAL op codec and their
+// checkpoint format: DurableStore writes an incremental chain of block
+// records with Merkle root digests, DurablePointStore standalone
+// full-ladder files, each its own base, with a whole-file digest. See
+// durable.go for the engine, the file formats, and the recovery
+// protocol, and durablepoints.go for the point format. The compaction
+// crash-safety contract:
 // Compact publishes the new base checkpoint by rename after a full
 // sync, and deletes the superseded chain tail and WAL generations only
 // afterwards — so a crash at any kill point leaves the directory

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"sort"
 	"sync"
 
@@ -47,6 +48,11 @@ type Store[K, V, A any, E pam.Aug[K, V, A]] struct {
 	policyOnce sync.Once
 }
 
+// hashStore is Store under an unexported name: DurableStore embeds it,
+// promoting the store's methods without exporting a field that reaches
+// the inner store (whose Close would skip the WAL flush).
+type hashStore[K, V, A any, E pam.Aug[K, V, A]] = Store[K, V, A, E]
+
 // pickTuning normalizes the optional trailing Tuning argument of the
 // store constructors.
 func pickTuning(tuning []Tuning) Tuning {
@@ -66,10 +72,13 @@ func pickTuning(tuning []Tuning) Tuning {
 // visited entries over s shards.
 // An optional Tuning configures the async pipeline (Tuning.AutoRebalance
 // is ignored: hash stores do not rebalance). Returns ErrNoShards when
-// shards < 1.
+// shards < 1, and an error when hash is nil.
 func NewHashStore[K, V, A any, E pam.Aug[K, V, A]](opts pam.Options, shards int, hash func(K) uint64, tuning ...Tuning) (*Store[K, V, A, E], error) {
 	if shards < 1 {
 		return nil, ErrNoShards
+	}
+	if hash == nil {
+		return nil, errors.New("serve: NewHashStore needs a hash function")
 	}
 	states := make([]pam.AugMap[K, V, A, E], shards)
 	for i := range states {
