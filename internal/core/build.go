@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/parallel"
 	"repro/internal/seq"
 )
@@ -114,12 +116,20 @@ func (o *ops[K, V, A, T]) multiInsertSorted(t *node[K, V, A], s []Entry[K, V], h
 		right = pos + 1
 	}
 	var nl, nr *node[K, V, A]
-	big := size(t)+int64(len(s)) > o.grainSize()
-	parallel.DoIf(big,
+	parallel.DoIf(o.forkBatch(len(s), size(t)),
 		func() { nl = o.multiInsertSorted(l, s[:pos], h) },
 		func() { nr = o.multiInsertSorted(r, s[right:], h) },
 	)
 	return o.join(nl, t, nr)
+}
+
+// forkBatch reports whether a batch of m sorted keys against an
+// n-entry subtree is worth forking over: its work, m·log2(n/m+1)
+// (Table 2), exceeds the grain. The work shrinks with both m and n, so
+// once a batch stops forking, none of its subproblems fork either.
+func (o *ops[K, V, A, T]) forkBatch(m int, n int64) bool {
+	w := float64(m) * math.Log2(float64(n)/float64(m)+1)
+	return w > float64(o.grainSize())
 }
 
 // leafMergeSorted merges a sorted, deduplicated batch into a leaf block
@@ -228,8 +238,7 @@ func (o *ops[K, V, A, T]) multiDeleteSorted(t *node[K, V, A], s []K) *node[K, V,
 		l, r = t.left, t.right
 	}
 	var nl, nr *node[K, V, A]
-	big := size(l)+size(r)+int64(len(s)) > o.grainSize()
-	parallel.DoIf(big,
+	parallel.DoIf(o.forkBatch(len(s), size(l)+size(r)),
 		func() { nl = o.multiDeleteSorted(l, s[:pos]) },
 		func() { nr = o.multiDeleteSorted(r, s[right:]) },
 	)

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 func TestBuildMatchesInsert(t *testing.T) {
@@ -136,6 +139,85 @@ func TestMultiDelete(t *testing.T) {
 		empty := tr.MultiDelete(all)
 		mustMatch(t, empty, model{})
 	})
+}
+
+// TestBulkForkRule pins the batch-work fork rule at parallelism 2: a
+// 64-key MultiInsert or MultiDelete into a 256k-entry tree (work
+// 64·log2(4096+1) ≈ 768, under the 1024 grain) never forks, while a
+// 16k-key MultiInsert into the same tree forks, in its tree recursion
+// too. Every result equals the parallelism-1 result and validates, on
+// flat and compressed leaves.
+func TestBulkForkRule(t *testing.T) {
+	old := parallel.Parallelism()
+	defer parallel.SetParallelism(old)
+	defer parallel.EnableStats(false)
+
+	const n = 1 << 18
+	base := make([]Entry[int, int64], n)
+	for i := range base {
+		base[i] = Entry[int, int64]{Key: 4 * i, Val: int64(i)}
+	}
+	// spread returns m entries spread over the tree's key range, offset
+	// by off from its keys (0: present keys; 1: fresh keys).
+	spread := func(m, off int) []Entry[int, int64] {
+		out := make([]Entry[int, int64], m)
+		for i := range out {
+			k := 4*(i*(n/m)) + off
+			out[i] = Entry[int, int64]{Key: k, Val: int64(-k)}
+		}
+		return out
+	}
+	keysOf := func(es []Entry[int, int64]) []int {
+		ks := make([]int, len(es))
+		for i, e := range es {
+			ks[i] = e.Key
+		}
+		return ks
+	}
+	small, smallDel, large := spread(64, 1), keysOf(spread(64, 0)), spread(1<<14, 1)
+
+	for name, empty := range map[string]sumTree{
+		"flat":       newSum(WeightBalanced),
+		"compressed": newSumComp(WeightBalanced, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr := empty.BuildSorted(base)
+			for _, tc := range []struct {
+				name string
+				op   func() sumTree
+				fork bool
+			}{
+				{"insert-64", func() sumTree { return tr.MultiInsert(small, nil) }, false},
+				{"delete-64", func() sumTree { return tr.MultiDelete(smallDel) }, false},
+				{"insert-16k", func() sumTree { return tr.MultiInsert(large, nil) }, true},
+				// The sorted recursion alone, without the batch sort and
+				// dedup, which fork on their own at this size.
+				{"insert-16k-sorted", func() sumTree {
+					return tr.with(tr.o().multiInsertSorted(inc(tr.root), large, nil))
+				}, true},
+			} {
+				parallel.SetParallelism(1)
+				want := tc.op()
+				parallel.SetParallelism(2)
+				parallel.EnableStats(true)
+				got := tc.op()
+				forks := parallel.Forks()
+				parallel.EnableStats(false)
+				if tc.fork && forks == 0 {
+					t.Errorf("%s: no forks at parallelism 2", tc.name)
+				}
+				if !tc.fork && forks != 0 {
+					t.Errorf("%s: %d forks at parallelism 2, want 0", tc.name, forks)
+				}
+				if err := got.Validate(i64eq); err != nil {
+					t.Fatalf("%s: invariants: %v", tc.name, err)
+				}
+				if got.Size() != want.Size() || got.AugVal() != want.AugVal() || !slices.Equal(got.Entries(), want.Entries()) {
+					t.Fatalf("%s: parallelism-2 result differs from parallelism 1", tc.name)
+				}
+			}
+		})
+	}
 }
 
 func TestMultiInsertEquivalentToUnionBuild(t *testing.T) {

@@ -98,6 +98,12 @@ type ops[K, V, A any, T Traits[K, V, A]] struct {
 // Union/Build/MapReduce over 64..16384 at elevated parallelism; on the
 // reference machine every grain lands within ~5% and 1024–4096 sit at
 // the minimum, so 1024 stays — re-run the sweep before changing it.
+//
+// MultiInsert and MultiDelete compare the grain with a batch's work
+// rather than its size: a batch of m keys against an n-entry subtree
+// forks only while m·log2(n/m+1) exceeds the grain, so a small batch
+// into a large tree (64 keys into 256k entries: work 768) runs
+// sequentially, while a 16k-key batch into the same tree still forks.
 const DefaultGrain = 1024
 
 // DefaultBlock is the default leaf block size B. PaC-trees report the

@@ -96,6 +96,30 @@ func runPerfSuite() []BenchResult {
 		parallel.SetParallelism(old)
 	}
 
+	// A small batch into a large map, the shape of a serve shard flush: a
+	// 64-key MultiInsert of fresh keys into m1. Its work, m·log2(n/m+1),
+	// is under the grain, so it runs without a fork at any parallelism.
+	// Each fork allocates a closure and a WaitGroup, so allocs/op shows
+	// forks coming back even where ns/op is noise.
+	small := make([]pam.KV[uint64, int64], 64)
+	for i := range small {
+		k := uint64(i) * (2 * coreN / uint64(len(small)))
+		for m1.Contains(k) {
+			k++
+		}
+		small[i] = pam.KV[uint64, int64]{Key: k, Val: int64(i)}
+	}
+	for _, p := range []int{1, 2} {
+		old := parallel.Parallelism()
+		parallel.SetParallelism(p)
+		out = append(out, bench("multiinsert_small_par"+strconv.Itoa(p), coreN, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = m1.MultiInsert(small, nil)
+			}
+		}))
+		parallel.SetParallelism(old)
+	}
+
 	out = append(out, bench("find", coreN, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m1.Find(uint64(i % (2 * coreN)))

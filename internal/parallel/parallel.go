@@ -15,7 +15,10 @@
 //   - DoIf(cond, f, g) is Do with a granularity cutoff decided by the
 //     caller (typically "subtree size exceeds the grain").
 //   - For(n, grain, body) is the cilk_for analogue: a blocked,
-//     recursively-split parallel loop.
+//     recursively-split parallel loop. Its default grain has a floor of
+//     1024 items, so a loop over fewer items runs inline: a fork costs a
+//     goroutine, a closure and a WaitGroup, more than a small loop body
+//     saves.
 //
 // Parallelism is controlled by SetParallelism; with parallelism 1 every
 // combinator degrades to plain sequential calls, which is how the "T1"
@@ -151,7 +154,8 @@ func Do3(f, g, h func()) {
 // For runs body(i) for every i in [0, n), splitting the index space
 // recursively and running halves in parallel while each half is larger
 // than grain. grain <= 0 selects a default that yields roughly 8 blocks
-// per worker token.
+// per worker, but never blocks below 1024 items: a loop over fewer than
+// 1024 items runs inline.
 func For(n, grain int, body func(i int)) {
 	if n <= 0 {
 		return
@@ -221,13 +225,11 @@ func ForBlocked(n, grain int, body func(lo, hi int)) {
 	})
 }
 
+// minGrain is the floor of the default grain.
+const minGrain = 1024
+
 func defaultGrain(n int) int {
-	p := Parallelism()
-	g := n / (p * spawnFactor)
-	if g < 1 {
-		g = 1
-	}
-	return g
+	return max(n/(Parallelism()*spawnFactor), minGrain)
 }
 
 // NumBlocks reports the block count ForBlocked would use for n items with

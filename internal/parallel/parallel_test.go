@@ -113,6 +113,37 @@ func TestForksCounted(t *testing.T) {
 	}
 }
 
+// TestDefaultGrainFloor pins the floor of the default grain at
+// parallelism 4: For and ForBlocked with grain 0 over fewer than 1024
+// items run inline, and NumBlocks reports one block for them. Above the
+// floor the default is unchanged: 1<<16 items split into 8 blocks per
+// worker, and For forks over them.
+func TestDefaultGrainFloor(t *testing.T) {
+	old := Parallelism()
+	defer SetParallelism(old)
+	SetParallelism(4)
+	defer EnableStats(false)
+	for _, n := range []int{1, 16, 64, 1023} {
+		EnableStats(true)
+		For(n, 0, func(int) {})
+		ForBlocked(n, 0, func(lo, hi int) {})
+		if f := Forks(); f != 0 {
+			t.Errorf("n=%d: For/ForBlocked with the default grain forked %d times", n, f)
+		}
+		if b, g := NumBlocks(n, 0); b != 1 || g < n {
+			t.Errorf("NumBlocks(%d, 0) = %d,%d; want one block", n, b, g)
+		}
+	}
+	if b, g := NumBlocks(1<<16, 0); b != 4*8 || g != 1<<11 {
+		t.Errorf("NumBlocks(1<<16, 0) = %d,%d; want 32,2048 (8 blocks per worker)", b, g)
+	}
+	EnableStats(true)
+	For(1<<16, 0, func(int) {})
+	if Forks() == 0 {
+		t.Error("For over 1<<16 items with the default grain never forked")
+	}
+}
+
 func TestDo3(t *testing.T) {
 	var c atomic.Int64
 	Do3(func() { c.Add(1) }, func() { c.Add(10) }, func() { c.Add(100) })

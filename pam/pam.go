@@ -75,7 +75,9 @@ type Stats = core.Stats
 type Options struct {
 	// Scheme is the balancing scheme.
 	Scheme Scheme
-	// Grain overrides the sequential-cutoff size of parallel operations.
+	// Grain overrides the sequential-cutoff size of parallel operations
+	// (core.DefaultGrain). MultiInsert and MultiDelete compare it with a
+	// batch's work, m·log2(n/m+1), rather than its size.
 	Grain int64
 	// Block is the leaf block size B (PaC-tree style blocked leaves):
 	// the fringe of every map stores sorted runs of up to B entries as
@@ -88,10 +90,11 @@ type Options struct {
 	// Raise it (64-128) for read-mostly scan/aggregate workloads; lower
 	// it (8-16) when values are large or single-key updates dominate.
 	// Block is independent of Grain (Grain caps parallel fork-out by
-	// subtree size; Block shapes the memory layout) and orthogonal to
-	// Pool (blocks are recycled through the same pool as nodes; their
-	// entry arrays are released to the GC). Like Scheme, Block must
-	// agree between maps that are combined (Union, Concat, ...).
+	// subtree size or batch work; Block shapes the memory layout) and
+	// orthogonal to Pool (blocks are recycled through the same pool as
+	// nodes; their entry arrays are released to the GC). Like Scheme,
+	// Block must agree between maps that are combined (Union, Concat,
+	// ...).
 	Block int
 	// Compress, when non-nil, must be a Compressor[K, V] for the map's
 	// key and value types (NewAugMap panics on a mismatch): leaf blocks

@@ -19,7 +19,10 @@ import (
 // retention of both durable flavours: a fixed sequence of sync batches
 // and checkpoints, then a Compact and a few more batches, runs through
 // a 2-shard DurableStore (flat and compressed leaves) and a 2-shard
-// DurablePointStore on MemFS. The sha256 of every ckpt-*/wal-* file,
+// DurablePointStore on MemFS. The map cases run twice: once with 16 ops
+// per Apply, and once with the same op stream submitted one op per
+// Apply, so the one-op tables pin the formats independently of how a
+// shard flush shapes the tree. The sha256 of every ckpt-*/wal-* file,
 // taken before and after the compaction, must match the table below. A
 // moved digest, or a file that appears or disappears, is a format (or
 // retention) change and must be deliberate; the failure message prints
@@ -29,7 +32,7 @@ func TestDurableFormatGolden(t *testing.T) {
 	defer dynamic.SetFlushCap(old)
 
 	const batches, ckptEvery, tail = 26, 6, 4
-	mapRun := func(opts pam.Options) [2]map[string]string {
+	mapRun := func(opts pam.Options, oneOp bool) [2]map[string]string {
 		fs := NewMemFS()
 		d, err := openDurSumOpts(opts, fs, 2, 0)
 		if err != nil {
@@ -47,7 +50,13 @@ func TestDurableFormatGolden(t *testing.T) {
 					ops[i] = kvop{Kind: OpPut, Key: k, Val: int64(rng.Intn(1000)) - 500}
 				}
 			}
-			applyAll(t, d, ops)
+			if !oneOp {
+				applyAll(t, d, ops)
+				return
+			}
+			for i := range ops {
+				applyAll(t, d, ops[i:i+1])
+			}
 		}
 		var out [2]map[string]string
 		for b := 0; b < batches; b++ {
@@ -115,8 +124,10 @@ func TestDurableFormatGolden(t *testing.T) {
 		run  func() [2]map[string]string
 		want [2]map[string]string
 	}{
-		{"map", func() [2]map[string]string { return mapRun(pam.Options{}) }, goldenMap},
-		{"map-compressed", func() [2]map[string]string { return mapRun(pam.Options{Compress: pam.CompressUint64()}) }, goldenMapCompressed},
+		{"map", func() [2]map[string]string { return mapRun(pam.Options{}, false) }, goldenMap},
+		{"map-compressed", func() [2]map[string]string { return mapRun(pam.Options{Compress: pam.CompressUint64()}, false) }, goldenMapCompressed},
+		{"map-one-op", func() [2]map[string]string { return mapRun(pam.Options{}, true) }, goldenMapOneOp},
+		{"map-compressed-one-op", func() [2]map[string]string { return mapRun(pam.Options{Compress: pam.CompressUint64()}, true) }, goldenMapCompressedOneOp},
 		{"points", pointRun, goldenPoints},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,31 +174,61 @@ func goldenTable(m map[string]string) string {
 
 var goldenMap = [2]map[string]string{
 	{ // before compaction
-		"ckpt-000001": "24ef36e5ab0efff9966f24cb5e61a121abac2720de328e6ac5e7a97c47f2845b",
-		"ckpt-000002": "7bc61b28ae8eddae00563e5d6308a0b76e40b7b10b1accc617a5279dcc0a7d62",
-		"ckpt-000003": "4922db535b329ef8bc143c406b862115a2650d8f3ed0acec96a72282c2f213f5",
-		"ckpt-000004": "655a4b65c3de7de8c287668372010e756c392f6e048476b1015daeb8f60abfd5",
+		"ckpt-000001": "caac6f61a72248629bb6cc834fd86100934e3739436677dee7874ecd6868e658",
+		"ckpt-000002": "d3fe61bfd65573ea4dcebd5b985fc430c32fc21eb97bf31914fd342239f69ffe",
+		"ckpt-000003": "a43b2114831feea0504a275f50624459f2af6c54ec9957e2a16650480fdc6ffe",
+		"ckpt-000004": "7398049782db2a45ec1d645d3e1db6a5aee08ffa9d8b66f672272fdd87105be5",
 		"wal-000003":  "0e76919288332bfb0dcab5f73a1e7473d4a1488a6d98acd876dd9ced33e2ef13",
 		"wal-000004":  "107136aa9d0a642658b877dbe2ddcdf14f448c5a42d370c343713438ad9010d5",
 	},
 	{ // after compaction
-		"ckpt-000005": "5bb556b658e66e353e0a6682faa9045685f9c21a1823d7677b91dddea134f9cf",
+		"ckpt-000005": "27e3b48bc704127de11bebab4be48d0d23dc9d31bdd48a562e0c731b24807060",
 		"wal-000005":  "083f9e40927b76dfe377bf633fcedd15f2f6c2c16092a3bd02fbb00769d890f6",
 	},
 }
 
 var goldenMapCompressed = [2]map[string]string{
 	{ // before compaction
-		"ckpt-000001": "e67597993db05b50d2b1210ee7be283a1f1954f6cf9ed63410dcb21620fa7a33",
-		"ckpt-000002": "c65e8fd521bc0e4dceb24aa977a790cca85ef23ee75002e3717f688be310f933",
-		"ckpt-000003": "b76083b7fa156185c69daeb0b5c222f3af72ff58e7f7c2c8cf64b8207720e5e3",
-		"ckpt-000004": "8c7891735642ec0770b4af755927c250aafd375d214350cacf9346b3068205f8",
+		"ckpt-000001": "f52e16ec3d063d16c441b89ce6eec3f5aa6eea36005f76c9e8aea4972d580adb",
+		"ckpt-000002": "a5b590a6d66cb5a92b37f00b85a315cc7b3d9ddb8f6d9a919737f89d8a5d52b9",
+		"ckpt-000003": "bbb163afe5a87bdfadf9b49a55b1ebb8010d5d9f4be538251b490904c2747677",
+		"ckpt-000004": "02c14e5dfaefa674451c7d765836cee9894678ea6662aa39333e0f008bfd5443",
 		"wal-000003":  "0e76919288332bfb0dcab5f73a1e7473d4a1488a6d98acd876dd9ced33e2ef13",
 		"wal-000004":  "107136aa9d0a642658b877dbe2ddcdf14f448c5a42d370c343713438ad9010d5",
 	},
 	{ // after compaction
-		"ckpt-000005": "8b5ceaa565559eb55d13a4865d4850399fb14c300798f397d7e4ae607a7b06c0",
+		"ckpt-000005": "14c0a3a472a975ce25baa38307020161af983bd5f8bc6a7af55c2cc6a34adea6",
 		"wal-000005":  "083f9e40927b76dfe377bf633fcedd15f2f6c2c16092a3bd02fbb00769d890f6",
+	},
+}
+
+var goldenMapOneOp = [2]map[string]string{
+	{ // before compaction
+		"ckpt-000001": "33cb1a2d1e4ee6ed474dfd7ab460651e409672a3523e6b70bcffb5158307bc49",
+		"ckpt-000002": "d0810b9d716cf9ed7fdc55da2d04d2a3dc1794c53dfebd1066fa3f4848816073",
+		"ckpt-000003": "775c06e80d715f518c088762960f9c97bc7440e4d1f73821c04b39afe5f4dfe4",
+		"ckpt-000004": "7e8750bbc1ecf1a05c81e71b96dbb45ee8b16439acd4557c7d4b6280b56852ff",
+		"wal-000003":  "cb10178a23af18864edb5749801e9c37439c0e95cdc8769a994b6964fa8448ce",
+		"wal-000004":  "d94c215fef244945317fd11ef04bff5771693fce6ae4ab2b5a59e48be37be20e",
+	},
+	{ // after compaction
+		"ckpt-000005": "5505561baafbcc7f28376b62833bd73a9acc44ea737d94c773c35d5544bc791e",
+		"wal-000005":  "1b4e54942403fd11b032e927fcd2d6943bce74edc3bbdd2ba8c8c90159ea36f2",
+	},
+}
+
+var goldenMapCompressedOneOp = [2]map[string]string{
+	{ // before compaction
+		"ckpt-000001": "6312c65d28df826a1f862bc728ba579beb5137abf8d36dac9ca5c2b3908a84de",
+		"ckpt-000002": "f36025d05ac77b8b4e23e6abec76efa9040d128face825d09eb7654b25e5b349",
+		"ckpt-000003": "b3e74dfed641691612cad2bd5dea0510f6e357709abc34e75b3e8e307dd99539",
+		"ckpt-000004": "6fa3e85bdab115c7c5ad441a9d671ee88ad2cd00ff41c96f1ee5415869b612e5",
+		"wal-000003":  "cb10178a23af18864edb5749801e9c37439c0e95cdc8769a994b6964fa8448ce",
+		"wal-000004":  "d94c215fef244945317fd11ef04bff5771693fce6ae4ab2b5a59e48be37be20e",
+	},
+	{ // after compaction
+		"ckpt-000005": "45357b0eab9167610883fd4ad5587031ecca3791b308a8bad3eeb3595ec7700e",
+		"wal-000005":  "1b4e54942403fd11b032e927fcd2d6943bce74edc3bbdd2ba8c8c90159ea36f2",
 	},
 }
 

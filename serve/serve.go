@@ -10,12 +10,13 @@
 // op mailbox. Writers never touch shard state: a batch is admitted
 // against the target shards' budgets, split by the routing function
 // under a global sequencer lock, and its per-shard sub-batches pushed
-// into the mailboxes. Shards drain their mailboxes, coalescing adjacent
-// write sub-batches into larger bulk updates (MultiInsert/MultiDelete
-// for maps), so a burst of small writes amortizes into the structures'
-// parallel bulk machinery — the paper's "updates are sequentialized ...
-// applied when needed in bulk" concurrency model, scaled out across
-// partitions.
+// into the mailboxes. Shards drain their mailboxes, holding adjacent
+// write sub-batches so that one flush covers many of them, and a flush
+// is one net update (for maps, the last op per key, applied as one
+// MultiDelete and one MultiInsert), so a burst of small writes
+// amortizes into the structures' parallel bulk machinery — the paper's
+// "updates are sequentialized ... applied when needed in bulk"
+// concurrency model, scaled out across partitions.
 //
 // Because the per-shard structures are persistent, a snapshot is
 // zero-copy: Snapshot injects a marker into every mailbox at a single

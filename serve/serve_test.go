@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"maps"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/seq"
 	"repro/pam"
@@ -108,7 +111,10 @@ func TestStoreBasics(t *testing.T) {
 }
 
 // TestBatchOrderWithinBatch checks that ops of one batch apply in slice
-// order: put-delete-put on one key must leave the last value.
+// order: put-delete-put on one key must leave the last value. The last
+// input is coalesced: several async batches, held by a long FlushWait,
+// reach their shards as one flush when Snapshot forces it, and must
+// still equal the batches applied in sequence.
 func TestBatchOrderWithinBatch(t *testing.T) {
 	s := newHash(t, 2)
 	s.Apply([]kvop{
@@ -127,6 +133,120 @@ func TestBatchOrderWithinBatch(t *testing.T) {
 	})
 	if v2, _ := s.Snapshot(); v2.Contains(8) {
 		t.Fatal("put-then-delete left the key present")
+	}
+
+	held, err := NewHashStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](
+		pam.Options{}, 2, mixHash, Tuning{FlushWait: time.Hour})
+	if err != nil {
+		t.Fatalf("NewHashStore: %v", err)
+	}
+	defer held.Close()
+	rng := rand.New(rand.NewSource(7))
+	oracle := map[uint64]int64{}
+	nOps := 0
+	for b := 0; b < 8; b++ {
+		ops := make([]kvop, 1+rng.Intn(12))
+		for i := range ops {
+			k := uint64(rng.Intn(16))
+			if rng.Intn(2) == 0 {
+				ops[i] = kvop{Kind: OpDelete, Key: k}
+				delete(oracle, k)
+			} else {
+				ops[i] = kvop{Kind: OpPut, Key: k, Val: int64(b*100 + i)}
+				oracle[k] = int64(b*100 + i)
+			}
+		}
+		nOps += len(ops)
+		if _, err := held.ApplyAsync(ops); err != nil {
+			t.Fatalf("ApplyAsync: %v", err)
+		}
+	}
+	var applied, queued int64
+	for _, st := range held.Stats() {
+		applied += int64(st.AppliedOps)
+		queued += st.QueuedOps
+	}
+	if applied != 0 || queued != int64(nOps) {
+		t.Fatalf("before Snapshot: %d ops applied, %d queued; want 0, %d (all held)", applied, queued, nOps)
+	}
+	hv, err := held.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	var want []pam.KV[uint64, int64]
+	for _, k := range slices.Sorted(maps.Keys(oracle)) {
+		want = append(want, pam.KV[uint64, int64]{Key: k, Val: oracle[k]})
+	}
+	if got := viewEntries(hv); !slices.Equal(got, want) {
+		t.Fatalf("coalesced flush = %v, sequential oracle = %v", got, want)
+	}
+}
+
+// TestApplyOpsFold checks the net-update fold of a shard flush against
+// applying the same ops one at a time, on flat and compressed leaves:
+// random op slices over a 32-key space at 50% deletes, plus put-delete-put
+// on one key and all-put and all-delete slices with repeated keys, which
+// take the one-kind path.
+func TestApplyOpsFold(t *testing.T) {
+	type sumMap = pam.AugMap[uint64, int64, int64, pam.SumEntry[uint64, int64]]
+	rng := rand.New(rand.NewSource(11))
+	random := func(n int, delPct int) []kvop {
+		ops := make([]kvop, n)
+		for i := range ops {
+			k := uint64(rng.Intn(32))
+			if rng.Intn(100) < delPct {
+				ops[i] = kvop{Kind: OpDelete, Key: k}
+			} else {
+				ops[i] = kvop{Kind: OpPut, Key: k, Val: int64(rng.Intn(1000)) - 500}
+			}
+		}
+		return ops
+	}
+	cases := [][]kvop{
+		nil,
+		{{Kind: OpPut, Key: 3, Val: 1}, {Kind: OpDelete, Key: 3}, {Kind: OpPut, Key: 3, Val: 2}},
+		{{Kind: OpDelete, Key: 4}, {Kind: OpPut, Key: 4, Val: 5}, {Kind: OpDelete, Key: 4}},
+		{{Kind: OpPut, Key: 5, Val: 1}, {Kind: OpPut, Key: 6, Val: 2}, {Kind: OpPut, Key: 5, Val: 3}},
+		{{Kind: OpDelete, Key: 8}, {Kind: OpDelete, Key: 2}, {Kind: OpDelete, Key: 8}},
+		random(64, 0),
+		random(64, 100),
+	}
+	for n := 1; n <= 128; n *= 2 {
+		for r := 0; r < 8; r++ {
+			cases = append(cases, random(n, 50))
+		}
+	}
+	for name, opts := range map[string]pam.Options{
+		"flat":       {},
+		"compressed": {Compress: pam.CompressUint64()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var start sumMap = pam.NewAugMap[uint64, int64, int64, pam.SumEntry[uint64, int64]](opts)
+			for k := uint64(0); k < 32; k += 2 {
+				start = start.Insert(k, int64(k))
+			}
+			for i, ops := range cases {
+				in := slices.Clone(ops)
+				got := applyOps(start, ops)
+				want := start
+				for _, o := range ops {
+					if o.Kind == OpPut {
+						want = want.Insert(o.Key, o.Val)
+					} else {
+						want = want.Delete(o.Key)
+					}
+				}
+				if err := got.Validate(func(x, y int64) bool { return x == y }); err != nil {
+					t.Fatalf("case %d: invariants: %v", i, err)
+				}
+				if got.Size() != want.Size() || got.AugVal() != want.AugVal() || !slices.Equal(got.Entries(), want.Entries()) {
+					t.Fatalf("case %d (%v): fold = %v, one at a time = %v", i, ops, got.Entries(), want.Entries())
+				}
+				if !slices.Equal(ops, in) {
+					t.Fatalf("case %d: applyOps modified its input", i)
+				}
+			}
+		})
 	}
 }
 

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 
+	"repro/internal/seq"
 	"repro/pam"
 )
 
@@ -142,28 +144,46 @@ func applyMapOps[K, V, A any, E pam.Aug[K, V, A]](_ int, m pam.AugMap[K, V, A, E
 	return applyOps(m, ops)
 }
 
-// applyOps applies a sub-batch to one shard's map, grouping consecutive
-// runs of the same kind into the parallel bulk operations.
+// applyOps applies a flush to one shard's map as one net update: only
+// the last op per key counts. A flush holding both kinds is folded to
+// those last ops (a stable sort by key keeps arrival order among equal
+// keys), which split into disjoint delete and put key sets, so one
+// MultiDelete and one MultiInsert apply it in either order. A flush of
+// one kind skips the fold: MultiInsert's stable dedup already keeps the
+// last put of a key, and repeated deletes are idempotent.
 func applyOps[K, V, A any, E pam.Aug[K, V, A]](m pam.AugMap[K, V, A, E], ops []Op[K, V]) pam.AugMap[K, V, A, E] {
-	for i := 0; i < len(ops); {
-		j := i
-		for j < len(ops) && ops[j].Kind == ops[i].Kind {
-			j++
-		}
-		if ops[i].Kind == OpPut {
-			items := make([]pam.KV[K, V], j-i)
-			for t, op := range ops[i:j] {
-				items[t] = pam.KV[K, V]{Key: op.Key, Val: op.Val}
+	if slices.ContainsFunc(ops, func(o Op[K, V]) bool { return o.Kind != ops[0].Kind }) {
+		var e E
+		ops = slices.Clone(ops)
+		seq.SortStable(ops, func(a, b Op[K, V]) bool { return e.Less(a.Key, b.Key) })
+		last := ops[:0]
+		for i, o := range ops {
+			if i+1 == len(ops) || e.Less(o.Key, ops[i+1].Key) {
+				last = append(last, o)
 			}
-			m = m.MultiInsert(items, nil) // nil combine: last write in the run wins
+		}
+		ops = last
+	}
+	puts := 0
+	for _, o := range ops {
+		if o.Kind == OpPut {
+			puts++
+		}
+	}
+	items := make([]pam.KV[K, V], 0, puts)
+	keys := make([]K, 0, len(ops)-puts)
+	for _, o := range ops {
+		if o.Kind == OpPut {
+			items = append(items, pam.KV[K, V]{Key: o.Key, Val: o.Val})
 		} else {
-			keys := make([]K, j-i)
-			for t, op := range ops[i:j] {
-				keys[t] = op.Key
-			}
-			m = m.MultiDelete(keys)
+			keys = append(keys, o.Key)
 		}
-		i = j
+	}
+	if len(keys) > 0 {
+		m = m.MultiDelete(keys)
+	}
+	if len(items) > 0 {
+		m = m.MultiInsert(items, nil) // nil combine: the last put of a key wins
 	}
 	return m
 }
