@@ -2,9 +2,10 @@
 # (.github/workflows/ci.yml does exactly that, plus a fuzz smoke job).
 
 GO ?= go
+GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race crash compact-crash bench bench-smoke bench-json bench-gate fuzz ci
+.PHONY: all build test fmt vet race crash compact-crash bench bench-smoke bench-json bench-gate fuzz ci
 
 all: ci
 
@@ -13,6 +14,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Fails when gofmt would change any tracked Go file. Listing the files
+# through git skips untracked build output such as .bench_build/.
+fmt:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -87,4 +94,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME) -run '^$$' ./serve
 	$(GO) test -fuzz=FuzzCompactDecode -fuzztime=$(FUZZTIME) -run '^$$' ./serve
 
-ci: vet build test race bench-smoke
+ci: fmt vet build test race bench-smoke

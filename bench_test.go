@@ -786,12 +786,9 @@ func BenchmarkDynamic_SegCountQueryWhileBuffered(b *testing.B) {
 
 // BenchmarkDynamicQueryTail is the worst-case-latency acceptance
 // benchmark: p50/p99 CountLine latency under a sustained insert stream
-// at n = 64k, for the ladder engine and for the PR-2 single-buffer
-// design it replaced (re-implemented in internal/experiments). The
-// ladder's win is the p99 gap: the buffer design's queries scan up to
-// n/8 pending records, the ladder's scan at most dynamic.BufCap plus
-// O(log n) polylog level queries. `pambench -json` commits the same
-// numbers to the perf trajectory.
+// at n = 64k into the ladder engine, whose queries scan at most
+// dynamic.BufCap buffered records plus O(log n) polylog level queries.
+// `pambench -json` commits the same numbers to the perf trajectory.
 func BenchmarkDynamicQueryTail(b *testing.B) {
 	const n = 1 << 16
 	report := func(b *testing.B, run func(n, updates int) experiments.TailStats) {
@@ -804,7 +801,6 @@ func BenchmarkDynamicQueryTail(b *testing.B) {
 		b.ReportMetric(float64(last.Mean.Nanoseconds()), "mean-ns/query")
 	}
 	b.Run("ladder", func(b *testing.B) { report(b, experiments.QueryTailLadder) })
-	b.Run("pr2buffer", func(b *testing.B) { report(b, experiments.QueryTailBuffer) })
 }
 
 // ------------------------------------------------- Grain sweep

@@ -397,26 +397,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestPooledAllocatorReusesNodes(t *testing.T) {
-	st := &Stats{}
-	tr := New[int, int64, int64, sumTraits](Config{Stats: st, Pool: true})
-	for i := 0; i < 1000; i++ {
-		tr.InsertInPlace(i, 1)
-	}
-	tr.Release()
-	tr2 := New[int, int64, int64, sumTraits](Config{Stats: st, Pool: true})
-	for i := 0; i < 1000; i++ {
-		tr2.InsertInPlace(i, 1)
-	}
-	if err := tr2.Validate(i64eq); err != nil {
-		t.Fatal(err)
-	}
-	tr2.Release()
-	if st.Live() != 0 {
-		t.Fatalf("leak: %d live nodes after releasing everything", st.Live())
-	}
-}
-
 func ExampleTree_AugRange() {
 	// The paper's Equation 1: sum of values, queried over a key range.
 	tr := New[int, int64, int64, sumTraits](Config{})

@@ -66,9 +66,8 @@ type recMeta struct {
 // by node identity, across a chain of incremental checkpoints. The set
 // holds strong references to every node it has assigned an id, keeping
 // encoded nodes reachable (and their pointers stable) for the lifetime
-// of the chain; it must not be used with Config.Pool trees, whose
-// Release recycles nodes for immediate reuse while the set still maps
-// their addresses.
+// of the chain, so a node's address identifies it even after every
+// tree that held it is released.
 type RecordSet[K, V, A any] struct {
 	ids  map[*node[K, V, A]]recMeta
 	next uint64

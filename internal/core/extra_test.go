@@ -347,35 +347,6 @@ func TestAugFilterWithSharesSubtrees(t *testing.T) {
 	}
 }
 
-func TestReleaseParallel(t *testing.T) {
-	st := &Stats{}
-	tr := New[int, int64, int64, sumTraits](Config{Stats: st})
-	items := make([]Entry[int, int64], 100_000)
-	for i := range items {
-		items[i] = Entry[int, int64]{Key: i, Val: 1}
-	}
-	tr = tr.BuildSorted(items)
-	live := st.Live()
-	// Blocked layout: ~100000/B blocks plus the interior skeleton.
-	if live < 100_000/DefaultBlock {
-		t.Fatalf("expected >= %d live nodes, got %d", 100_000/DefaultBlock, live)
-	}
-	tr.ReleaseParallel()
-	if st.Live() != 0 {
-		t.Fatalf("ReleaseParallel leaked %d nodes", st.Live())
-	}
-	// Shared structure must survive a parallel release of one owner.
-	a := New[int, int64, int64, sumTraits](Config{Stats: st}).BuildSorted(items)
-	b := a.Insert(-1, 1)
-	a.ReleaseParallel()
-	if err := b.Validate(i64eq); err != nil {
-		t.Fatalf("shared tree corrupted by parallel release: %v", err)
-	}
-	if b.Size() != 100_001 {
-		t.Fatalf("b size %d", b.Size())
-	}
-}
-
 // TestCursor checks Cursor on flat leaves and on compressed ones, which
 // decode into the cursor's scratch buffer instead of being read in
 // place (block sizes 1, 2 and 32; full blocks from BuildSorted, partial

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"math"
-	"sync"
 	"sync/atomic"
 
-	"repro/internal/parallel"
 	"repro/internal/seq"
 )
 
@@ -88,7 +85,6 @@ type ops[K, V, A any, T Traits[K, V, A]] struct {
 	grain int64
 	block int
 	stats *Stats
-	pool  *sync.Pool       // non-nil when node recycling is enabled
 	comp  Compressor[K, V] // non-nil: leaf blocks are difference-encoded
 }
 
@@ -150,31 +146,9 @@ func (o *ops[K, V, A, T]) augOf(t *node[K, V, A]) A {
 	return t.aug
 }
 
-// freedRef is the poisoned refcount of a node sitting in the pool.
-// Any release or mutation reaching such a node — a Tree handle used
-// after Release, the misuse Config.Pool's invariant forbids — trips a
-// panic instead of silently corrupting whatever tree adopts the node
-// next. Detection is best-effort: it holds until the pool re-issues
-// the node (and the poison write itself gives the race detector a
-// racing address for concurrent misuse).
-const freedRef = math.MinInt32 / 2
-
-// getNode returns an uninitialized node with refs == 1, recycling from
-// the pool when enabled.
+// getNode returns an uninitialized node with refs == 1.
 func (o *ops[K, V, A, T]) getNode() *node[K, V, A] {
-	var n *node[K, V, A]
-	if o.pool != nil {
-		if x := o.pool.Get(); x != nil {
-			n = x.(*node[K, V, A])
-			if n.refs.Load() != freedRef {
-				panic("core: pooled node resurrected with a live refcount — tree handle used after Release?")
-			}
-			*n = node[K, V, A]{}
-		}
-	}
-	if n == nil {
-		n = &node[K, V, A]{}
-	}
+	n := &node[K, V, A]{}
 	if o.stats != nil {
 		o.stats.Allocated.Add(1)
 	}
@@ -315,10 +289,7 @@ func (o *ops[K, V, A, T]) dec(t *node[K, V, A]) {
 	if t == nil {
 		return
 	}
-	if n := t.refs.Add(-1); n != 0 {
-		if n < freedRef/2 {
-			panic("core: releasing an already-freed node — tree handle used after Release?")
-		}
+	if t.refs.Add(-1) != 0 {
 		return
 	}
 	l, r := t.left, t.right
@@ -327,28 +298,15 @@ func (o *ops[K, V, A, T]) dec(t *node[K, V, A]) {
 	o.dec(r)
 }
 
-// free recycles a dead node. The children must already have been
-// released; the caller observed the refcount hit zero. Pooled nodes
-// are poisoned (see freedRef) so stale handles fail loudly.
+// free accounts for a dead node, which the garbage collector then
+// reclaims. The children must already have been released; the caller
+// observed the refcount hit zero.
 func (o *ops[K, V, A, T]) free(t *node[K, V, A]) {
 	if o.stats != nil {
 		o.stats.Freed.Add(1)
 		if isLeaf(t) {
 			o.stats.LeafFreed.Add(1)
 		}
-	}
-	if o.pool != nil {
-		var zk K
-		var zv V
-		t.left, t.right = nil, nil
-		t.items = nil  // the block array is garbage-collected, not pooled
-		t.packed = nil // likewise the packed byte string
-		// Zero the entry too: a recycled node reused as a leaf block
-		// never rewrites key/val, and stale values would otherwise stay
-		// reachable (pinned) for the new node's whole life.
-		t.key, t.val = zk, zv
-		t.refs.Store(freedRef)
-		o.pool.Put(t)
 	}
 }
 
@@ -358,13 +316,11 @@ func (o *ops[K, V, A, T]) free(t *node[K, V, A]) {
 // the items array) while t's own reference is dropped. t must be non-nil
 // and owned by the caller.
 func (o *ops[K, V, A, T]) mutable(t *node[K, V, A]) *node[K, V, A] {
-	if r := t.refs.Load(); r == 1 {
+	if t.refs.Load() == 1 {
 		if o.stats != nil {
 			o.stats.Reuses.Add(1)
 		}
 		return t
-	} else if r < freedRef/2 {
-		panic("core: mutating an already-freed node — tree handle used after Release?")
 	}
 	var n *node[K, V, A]
 	if isLeaf(t) {
@@ -424,24 +380,6 @@ func (o *ops[K, V, A, T]) detach(t *node[K, V, A]) (l, r *node[K, V, A]) {
 //     a borrowed subtree into a new tree they inc it first.
 //   - A leaf's items array belongs to that leaf node alone; refs == 1 on
 //     the node therefore licenses in-place edits of the array.
-
-// decParallel is dec with the recursive child releases forked in
-// parallel for large subtrees. Used by Tree.ReleaseParallel.
-func (o *ops[K, V, A, T]) decParallel(t *node[K, V, A]) {
-	if t == nil {
-		return
-	}
-	if t.refs.Add(-1) != 0 {
-		return
-	}
-	l, r := t.left, t.right
-	big := size(l)+size(r) > o.grainSize()
-	o.free(t)
-	parallel.DoIf(big,
-		func() { o.decParallel(l) },
-		func() { o.decParallel(r) },
-	)
-}
 
 // leafSearch binary-searches items for k, returning the index of the
 // first entry with key >= k and whether that entry's key equals k.

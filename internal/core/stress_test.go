@@ -91,15 +91,16 @@ func TestStressMixedOps(t *testing.T) {
 	})
 }
 
-// TestStressPooledParallel exercises the node pool together with
-// parallel bulk operations and releases — the path where a refcount bug
-// would resurface as cross-tree corruption.
+// TestStressPooledParallel runs parallel bulk operations and releases
+// over trees that share structure with a long-lived base — the path
+// where a refcount bug would resurface as cross-tree corruption or as
+// leaked or double-freed nodes in Stats.Live.
 func TestStressPooledParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
 	st := &Stats{}
-	cfg := Config{Stats: st, Pool: true, Grain: 256}
+	cfg := Config{Stats: st, Grain: 256}
 	base := New[int, int64, int64, sumTraits](cfg)
 	items := make([]Entry[int, int64], 20000)
 	for i := range items {
@@ -131,56 +132,32 @@ func TestStressPooledParallel(t *testing.T) {
 	}
 	base.Release()
 	if st.Live() != 0 {
-		t.Fatalf("leaked %d pooled nodes", st.Live())
+		t.Fatalf("leaked %d nodes", st.Live())
 	}
 }
 
-// TestPooledUseAfterReleasePanics pins the Config.Pool safety
-// invariant: a Tree handle used after Release must fail loudly. The
-// freed nodes' poisoned refcounts turn the TestStressPooledParallel
-// misuse shape — keeping a second handle across a Release instead of
-// Retain — into a panic rather than silent cross-tree corruption (and
-// give `go test -race` a racing address when the misuse is
-// concurrent).
-func TestPooledUseAfterReleasePanics(t *testing.T) {
-	build := func() Tree[int, int64, int64, sumTraits] {
-		tr := New[int, int64, int64, sumTraits](Config{Pool: true})
-		items := make([]Entry[int, int64], 64)
-		for i := range items {
-			items[i] = Entry[int, int64]{Key: i, Val: int64(i)}
-		}
-		return tr.BuildSorted(items)
+// TestRetainSurvivesRelease checks that a handle kept with Retain stays
+// whole after the handle it was taken from is released, and that
+// releasing both frees every node.
+func TestRetainSurvivesRelease(t *testing.T) {
+	st := &Stats{}
+	items := make([]Entry[int, int64], 64)
+	for i := range items {
+		items[i] = Entry[int, int64]{Key: i, Val: int64(i)}
 	}
-	mustPanic := func(t *testing.T, name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s through a stale pooled handle did not panic", name)
-			}
-		}()
-		f()
+	tr := New[int, int64, int64, sumTraits](Config{Stats: st}).BuildSorted(items)
+	snap := tr.Retain()
+	tr.Release()
+	if snap.Size() != 64 {
+		t.Fatalf("retained snapshot lost entries: %d", snap.Size())
 	}
-	t.Run("double-release", func(t *testing.T) {
-		tr := build()
-		stale := tr // snapshot without Retain: dead once tr releases
-		tr.Release()
-		mustPanic(t, "Release", func() { stale.Release() })
-	})
-	t.Run("mutate-after-release", func(t *testing.T) {
-		tr := build()
-		stale := tr
-		tr.Release()
-		mustPanic(t, "InsertInPlace", func() { stale.InsertInPlace(999, 1) })
-	})
-	t.Run("retain-is-safe", func(t *testing.T) {
-		tr := build()
-		snap := tr.Retain()
-		tr.Release()
-		if snap.Size() != 64 {
-			t.Fatalf("retained snapshot lost entries: %d", snap.Size())
-		}
-		snap.Release()
-	})
+	if err := snap.Validate(i64eq); err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	if st.Live() != 0 {
+		t.Fatalf("leaked %d nodes", st.Live())
+	}
 }
 
 // TestStressHighParallelism runs the same workload at an exaggerated

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"iter"
-	"sync"
 )
 
 // Config selects the representation options of a tree family.
@@ -33,18 +32,6 @@ type Config struct {
 	// mismatch. Like Scheme and Block, Compress must agree between
 	// trees that are combined.
 	Compress any
-	// Pool enables sync.Pool node recycling (the analogue of PAM's
-	// local/global allocator pools). Safety invariant: no Tree value —
-	// including snapshots and handles sharing structure with one — may
-	// be used after a Release whose reference count drops their shared
-	// nodes to zero. Releasing hands nodes back to the pool for
-	// immediate reuse, so a stale handle reads (or worse, releases)
-	// another tree's nodes. Freed nodes carry a poisoned refcount:
-	// releasing or mutating through a stale handle panics (best-effort,
-	// until the pool re-issues the node), and under the race detector
-	// concurrent misuse additionally reports a race on the freed node's
-	// fields.
-	Pool bool
 }
 
 // Tree is a persistent augmented ordered map (the paper's aug_map).
@@ -76,9 +63,6 @@ func New[K, V, A any, T Traits[K, V, A]](cfg Config) Tree[K, V, A, T] {
 			panic(fmt.Sprintf("core: Config.Compress is %T, want a core.Compressor matching the tree's key and value types", cfg.Compress))
 		}
 		t.op.comp = comp
-	}
-	if cfg.Pool {
-		t.op.pool = &sync.Pool{}
 	}
 	return t
 }
@@ -359,12 +343,4 @@ func AugProjectKV[K, V, A, B any, T Traits[K, V, A]](t Tree[K, V, A, T], lo, hi 
 // hAll(b); pass nil to disable take-all pruning.
 func (t Tree[K, V, A, T]) AugFilterWith(hAny, hAll func(a A) bool) Tree[K, V, A, T] {
 	return t.with(t.o().augFilter2(inc(t.root), hAny, hAll))
-}
-
-// ReleaseParallel is Release with the recursive reference drop done in
-// parallel over the tree structure — PAM decrements in parallel too,
-// since the final release of a huge tree is itself a bulk operation.
-func (t *Tree[K, V, A, T]) ReleaseParallel() {
-	t.o().decParallel(t.root)
-	t.root = nil
 }

@@ -5,12 +5,8 @@
 // benchstat-style tooling over committed artifacts.
 //
 // The headline entry is the dynamic query tail: p50/p99 query latency
-// under a sustained update stream, measured for the logarithmic-method
-// ladder (the current engine) and for an in-file re-implementation of
-// the PR-2 single-buffer design (static bulk structure + one flat
-// persistent update buffer scanned by every query, folded at the
-// size-ratio threshold). The ladder's worst-case polylog claim is
-// exactly the p99 gap between the two.
+// under a sustained update stream into the logarithmic-method ladder,
+// whose claim is a worst-case polylog read path.
 package experiments
 
 import (
@@ -18,20 +14,11 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/dynamic"
 	"repro/internal/workload"
 	"repro/pam"
 	"repro/rangetree"
 	"repro/segcount"
 	"repro/stabbing"
-)
-
-// The PR-2 fold policy (the constants the single-buffer design used):
-// fold once at least pr2FoldMin updates are buffered AND the buffer is
-// at least 1/pr2FoldRatio of the bulk layer.
-const (
-	pr2FoldMin   = 16
-	pr2FoldRatio = 8
 )
 
 // TailStats summarizes per-query latencies under an update stream.
@@ -43,11 +30,10 @@ type TailStats struct {
 // timeQuery measures the structural latency of one query as the
 // minimum of three back-to-back runs: single-shot timings on a busy
 // machine fold scheduler preemptions and GC assists (triggered by the
-// untimed update stream) into the tail, drowning the structural
-// difference the benchmark exists to measure. The minimum keeps every
-// deterministic cost — the PR-2 buffer scan is identical on all three
-// runs — and sheds only transient stalls. Both engines are measured
-// identically.
+// untimed update stream) into the tail, drowning the structural cost
+// the benchmark exists to measure. The minimum keeps every
+// deterministic cost — the query is identical on all three runs — and
+// sheds only transient stalls.
 func timeQuery(f func()) time.Duration {
 	best := time.Duration(1 << 62)
 	for r := 0; r < 3; r++ {
@@ -105,80 +91,10 @@ func QueryTailLadder(n, updates int) TailStats {
 	return tailStats(lat)
 }
 
-// pr2Entry orders the PR-2 emulation buffer in segcount's canonical
-// (y, xLo, xHi) order, unaugmented.
-type pr2Entry struct{}
-
-func (pr2Entry) Less(a, b segcount.Segment) bool {
-	if a.Y != b.Y {
-		return a.Y < b.Y
-	}
-	if a.XLo != b.XLo {
-		return a.XLo < b.XLo
-	}
-	return a.XHi < b.XHi
-}
-func (pr2Entry) Id() struct{}                             { return struct{}{} }
-func (pr2Entry) Base(segcount.Segment, struct{}) struct{} { return struct{}{} }
-func (pr2Entry) Combine(struct{}, struct{}) struct{}      { return struct{}{} }
-
-// QueryTailBuffer is the PR-2 design re-implemented for comparison: a
-// fully built (static) segcount map plus one flat persistent update
-// buffer (dynamic.Buffer, exactly the PR-2 secondary layer); every
-// query pays the static polylog cost plus a scan of the whole buffer —
-// the O(|buffer|) tail the ladder eliminates — and the buffer folds
-// into a full rebuild at the PR-2 size-ratio threshold.
-func QueryTailBuffer(n, updates int) TailStats {
-	base, stream := tailSegments(n, updates)
-	static := segcount.New(pam.Options{}).Build(base)
-	var buf dynamic.Buffer[segcount.Segment, struct{}, pr2Entry]
-	lat := make([]time.Duration, 0, updates)
-	for i, s := range stream {
-		buf = buf.Insert(s, struct{}{}, struct{}{}, static.Contains(s), nil)
-		if p := buf.Pending(); p >= pr2FoldMin && p*pr2FoldRatio >= static.Size() {
-			// PR-2 fold: materialize survivors, apply the buffer,
-			// rebuild the bulk layer.
-			keys := static.Segments()
-			kept := keys[:0]
-			for _, k := range keys {
-				if !buf.Dels.Contains(k) {
-					kept = append(kept, k)
-				}
-			}
-			buf.Adds.ForEach(func(k segcount.Segment, _ struct{}) bool {
-				kept = append(kept, k)
-				return true
-			})
-			static = static.Build(kept)
-			buf = dynamic.Buffer[segcount.Segment, struct{}, pr2Entry]{}
-		}
-		x := float64(i % n)
-		lat = append(lat, timeQuery(func() {
-			c := static.CountLine(x)
-			// The PR-2 read path: correct the bulk answer by scanning
-			// the buffered updates.
-			buf.Adds.ForEach(func(s segcount.Segment, _ struct{}) bool {
-				if s.CrossesLine(x) {
-					c++
-				}
-				return true
-			})
-			buf.Dels.ForEach(func(s segcount.Segment, _ struct{}) bool {
-				if s.CrossesLine(x) {
-					c--
-				}
-				return true
-			})
-			_ = c
-		}))
-	}
-	return tailStats(lat)
-}
-
 func init() {
 	register(Experiment{
 		Name: "dynamic",
-		Desc: "dynamic-structure query tail: p50/p99 CountLine latency under a sustained insert stream, ladder vs PR-2 buffer",
+		Desc: "dynamic-structure query tail: p50/p99 CountLine latency under a sustained insert stream into the ladder",
 		Run: func(cfg Config) []Table {
 			cfg = cfg.WithDefaults()
 			n := cfg.N
@@ -190,23 +106,16 @@ func init() {
 			}
 			updates := n / 4
 			lad := QueryTailLadder(n, updates)
-			buf := QueryTailBuffer(n, updates)
-			row := func(name string, s TailStats) []string {
-				return []string{
-					name,
-					time.Duration(s.P50).String(),
-					time.Duration(s.P99).String(),
-					time.Duration(s.Mean).String(),
-				}
-			}
 			return []Table{{
 				Title:  "Dynamic query tail",
 				Note:   "CountLine latency after each of " + strconv.Itoa(updates) + " inserts into a " + strconv.Itoa(n) + "-segment segcount map",
 				Header: []string{"engine", "p50", "p99", "mean"},
-				Rows: [][]string{
-					row("ladder (this PR)", lad),
-					row("PR-2 buffer", buf),
-				},
+				Rows: [][]string{{
+					"ladder",
+					lad.P50.String(),
+					lad.P99.String(),
+					lad.Mean.String(),
+				}},
 			}}
 		},
 	})

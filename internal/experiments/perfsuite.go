@@ -293,15 +293,9 @@ func runPerfSuite() []BenchResult {
 	})
 
 	// Let the allocations of the ns/op entries above get collected
-	// before the latency-percentile runs, so their GC debt doesn't
-	// bleed into the tails.
+	// before the latency-percentile run, so their GC debt doesn't
+	// bleed into the tail.
 	runtime.GC()
-	ladTail := QueryTailLadder(tailN, tailU)
-	runtime.GC()
-	bufTail := QueryTailBuffer(tailN, tailU)
-	out = append(out,
-		tailResult("dynamic_querytail_ladder", tailN, ladTail),
-		tailResult("dynamic_querytail_pr2buffer", tailN, bufTail),
-	)
+	out = append(out, tailResult("dynamic_querytail_ladder", tailN, QueryTailLadder(tailN, tailU)))
 	return out
 }

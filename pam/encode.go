@@ -13,10 +13,6 @@ import (
 // across checkpoints makes encoding incremental — only nodes created
 // since the previous checkpoint are written. Augmented values are
 // recomputed on decode, never stored.
-//
-// Serialization requires Options.Pool == false: a RecordSet (and a
-// DecodeTable) identifies nodes by address, which pool recycling
-// invalidates.
 
 // Codec supplies the byte encoding of a map's key and value types. See
 // Uint64Codec for a ready-made instance and a template.

@@ -90,11 +90,9 @@ type Options struct {
 	// Raise it (64-128) for read-mostly scan/aggregate workloads; lower
 	// it (8-16) when values are large or single-key updates dominate.
 	// Block is independent of Grain (Grain caps parallel fork-out by
-	// subtree size or batch work; Block shapes the memory layout) and
-	// orthogonal to Pool (blocks are recycled through the same pool as
-	// nodes; their entry arrays are released to the GC). Like Scheme,
-	// Block must agree between maps that are combined (Union, Concat,
-	// ...).
+	// subtree size or batch work; Block shapes the memory layout). Like
+	// Scheme, Block must agree between maps that are combined (Union,
+	// Concat, ...).
 	Block int
 	// Compress, when non-nil, must be a Compressor[K, V] for the map's
 	// key and value types (NewAugMap panics on a mismatch): leaf blocks
@@ -112,20 +110,10 @@ type Options struct {
 	Compress any
 	// Stats, when non-nil, collects node allocation counters.
 	Stats *Stats
-	// Pool enables node recycling through a sync.Pool. Safety
-	// invariant: snapshots must not outlive releases — once Release
-	// (or an InPlace operation) drops the last reference to nodes a
-	// handle shares, that handle and every map derived from it are
-	// dead, because the nodes return to the pool for immediate reuse.
-	// Use Retain to keep a snapshot alive across a Release. Misuse
-	// fails loudly (best-effort): freed nodes are poisoned so a stale
-	// release or mutation panics, and `go test -race` flags concurrent
-	// stale reads. See core.Config.Pool.
-	Pool bool
 }
 
 func (o Options) coreConfig() core.Config {
-	return core.Config{Scheme: o.Scheme, Grain: o.Grain, Block: o.Block, Compress: o.Compress, Stats: o.Stats, Pool: o.Pool}
+	return core.Config{Scheme: o.Scheme, Grain: o.Grain, Block: o.Block, Compress: o.Compress, Stats: o.Stats}
 }
 
 // AugMap is a persistent augmented ordered map with entry specification E.
@@ -401,8 +389,10 @@ func (m *AugMap[K, V, A, E]) MultiInsertInPlace(items []KV[K, V], h func(old, ne
 // in-place update or Release on a copy.
 func (m AugMap[K, V, A, E]) Retain() AugMap[K, V, A, E] { return wrap(m.t.Retain()) }
 
-// Release drops the receiver's reference and empties the handle; only
-// needed with Options.Pool or for allocation statistics.
+// Release drops the receiver's reference and empties the handle. Nodes
+// are garbage-collected either way; Release matters only to the
+// allocation statistics (Options.Stats) and to the in-place reuse of
+// nodes the released handle shared.
 func (m *AugMap[K, V, A, E]) Release() { m.t.Release() }
 
 // ForEachRange visits entries with lo <= key <= hi in key order until

@@ -53,10 +53,9 @@ const (
 	BackpressureFastFail
 )
 
-// Tuning configures the asynchronous write pipeline. The zero value
-// (and any field left zero) picks the defaults below, which match the
-// engine's historical behavior: pass nothing to the constructors to get
-// exactly the pre-async engine.
+// Tuning configures the write pipeline: the admission budgets, the
+// flush size cap, automatic rebalancing, and background carries. Any
+// field left zero takes the default documented on it.
 type Tuning struct {
 	// MailboxDepth bounds the queued-but-unapplied sub-batches per
 	// shard. A batch whose target shard already has MailboxDepth
@@ -70,17 +69,11 @@ type Tuning struct {
 	// Backpressure picks blocking or fast-fail admission. Default
 	// BackpressureBlock.
 	Backpressure Backpressure
-	// FlushOps is the size trigger of the per-shard flush loop: a
-	// shard applies its held ops once they reach this count. Default
-	// 4096 (the old maxCoalesce).
+	// FlushOps caps one flush: a shard drains the sub-batches already
+	// in its mailbox into one bulk update until their ops reach this
+	// count, then flushes. It never waits for more work to arrive.
+	// Default 4096.
 	FlushOps int
-	// FlushWait is the time trigger: how long a shard may hold a
-	// sub-batch hoping to coalesce more before it must flush. Zero
-	// (the default) means flush as soon as the mailbox has no more
-	// immediately available work — the historical greedy behavior.
-	// Synchronous writes (Apply/Put/Delete) always flush immediately
-	// regardless; only async batches wait out the window.
-	FlushWait time.Duration
 	// AutoRebalance, when non-nil, starts a policy goroutine that
 	// calls Rebalance automatically on sustained shard-size or
 	// flush-latency skew. Only meaningful for range-partitioned
@@ -101,12 +94,6 @@ type Tuning struct {
 	// on the in-flight background carry, which surfaces upstream as
 	// ordinary admission backpressure. Default 4.
 	MaxPendingCarries int
-	// ReplicaRefresh throttles per-shard replica publication: a shard
-	// republishes its ReaderView slot at most once per this interval
-	// (deferred publishes land when the window closes, even if the
-	// shard goes idle). Zero (the default) publishes after every
-	// flush.
-	ReplicaRefresh time.Duration
 }
 
 // withDefaults normalizes zero fields to the documented defaults.
@@ -120,17 +107,11 @@ func (t Tuning) withDefaults() Tuning {
 	if t.FlushOps <= 0 {
 		t.FlushOps = 4096
 	}
-	if t.FlushWait < 0 {
-		t.FlushWait = 0
-	}
 	if t.CarryWorkers < 0 {
 		t.CarryWorkers = 0
 	}
 	if t.MaxPendingCarries <= 0 {
 		t.MaxPendingCarries = 4
-	}
-	if t.ReplicaRefresh < 0 {
-		t.ReplicaRefresh = 0
 	}
 	return t
 }

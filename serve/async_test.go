@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,19 +20,48 @@ func newTunedRange(t testing.TB, tun Tuning, splits ...uint64) *sumStore {
 	return s
 }
 
+// hookApply makes every flush of e call before first, on the shard
+// goroutine, with the ops about to be applied. Call it before the
+// store's first write: the mailbox send carrying that write orders the
+// swap of e.apply before any shard goroutine reads it.
+func hookApply[O, T any](e *engine[O, T], before func(shard int, ops []O)) {
+	apply := e.apply
+	e.apply = func(shard int, state T, ops []O) T {
+		before(shard, ops)
+		return apply(shard, state, ops)
+	}
+}
+
+// holdFlushes makes every flush of e wait inside apply until release
+// is called; entered is closed once the first flush waits. Queued work
+// stays queued, and its budget charged, until then. Like hookApply,
+// call it before the store's first write. Cleanup releases the gate,
+// so a failing test still closes its store.
+func holdFlushes[O, T any](t testing.TB, e *engine[O, T]) (entered <-chan struct{}, release func()) {
+	ent, gate := make(chan struct{}), make(chan struct{})
+	var first, open sync.Once
+	hookApply(e, func(int, []O) {
+		first.Do(func() { close(ent) })
+		<-gate
+	})
+	release = func() { open.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return ent, release
+}
+
 // TestBackpressureBlockProgress drives many async writers through a
 // deliberately starved pipeline (single shard, one-slot mailbox, a
-// four-op admission budget, and a slow flush timer standing in for a
-// slow consumer) in the default block mode. The test passes iff every
-// write completes — a lost wakeup or a budget leak shows up as a hang,
-// which the suite timeout converts into a failure with stacks.
+// four-op admission budget, and an apply slowed by 200µs standing in
+// for a slow consumer) in the default block mode. The test passes iff
+// every write completes — a lost wakeup or a budget leak shows up as a
+// hang, which the suite timeout converts into a failure with stacks.
 func TestBackpressureBlockProgress(t *testing.T) {
 	s := newTunedRange(t, Tuning{
 		MailboxDepth:  1,
 		ShardOpBudget: 4,
-		FlushWait:     200 * time.Microsecond,
 		FlushOps:      8,
 	}) // no splits: one shard, every op contends
+	hookApply(s.eng, func(int, []kvop) { time.Sleep(200 * time.Microsecond) })
 	const writers, perWriter = 8, 50
 	var wg sync.WaitGroup
 	futs := make([][]*Future, writers)
@@ -74,9 +104,10 @@ func TestBackpressureFastFail(t *testing.T) {
 		MailboxDepth:  4,
 		ShardOpBudget: 2,
 		Backpressure:  BackpressureFastFail,
-		FlushWait:     10 * time.Second, // hold writes until something forces a flush
-		FlushOps:      1 << 20,
 	})
+	// Hold the shard inside its first flush: nothing applies, so
+	// nothing releases budget, until the gate opens.
+	_, release := holdFlushes(t, s.eng)
 	f1, err := s.PutAsync(1, 10)
 	if err != nil {
 		t.Fatalf("PutAsync(1): %v", err)
@@ -91,8 +122,9 @@ func TestBackpressureFastFail(t *testing.T) {
 	if _, err := s.Put(4, 40); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-budget sync Put = %v, want ErrOverloaded", err)
 	}
-	// A snapshot marker forces the held sub-batches to flush first, so
-	// the accepted writes must all be visible and their futures resolve.
+	// Open the gate. The snapshot marker queues behind the accepted
+	// writes, so they must all be visible and their futures resolve.
+	release()
 	v, _ := s.Snapshot()
 	for _, want := range []struct {
 		k uint64
@@ -114,6 +146,100 @@ func TestBackpressureFastFail(t *testing.T) {
 	if _, err := s.PutAsync(5, 50); err != nil {
 		t.Fatalf("PutAsync after drain: %v", err)
 	}
+}
+
+// TestFlushDrainsQueued pins how a shard coalesces: the sub-batches
+// queued behind a flush reach apply as one call, and a snapshot marker
+// queued among them splits that drain into two calls and sees exactly
+// the writes sequenced before it.
+func TestFlushDrainsQueued(t *testing.T) {
+	const n = 6
+	for _, snap := range []bool{false, true} {
+		name := map[bool]string{false: "queued", true: "snapshot-among-queued"}[snap]
+		t.Run(name, func(t *testing.T) {
+			s := newTunedRange(t, Tuning{}) // no splits: one shard
+			var mu sync.Mutex
+			var calls [][]uint64 // the keys of each apply call
+			hookApply(s.eng, func(_ int, ops []kvop) {
+				keys := make([]uint64, len(ops))
+				for i, op := range ops {
+					keys[i] = op.Key
+				}
+				mu.Lock()
+				calls = append(calls, keys)
+				mu.Unlock()
+			})
+			entered, release := holdFlushes(t, s.eng)
+			put := func(lo, hi uint64) []*Future {
+				var futs []*Future
+				for k := lo; k < hi; k++ {
+					f, err := s.PutAsync(k, int64(k))
+					if err != nil {
+						t.Fatalf("PutAsync(%d): %v", k, err)
+					}
+					futs = append(futs, f)
+				}
+				return futs
+			}
+			futs := put(0, 1)
+			<-entered // key 0's flush holds the shard; the rest queue
+			futs = append(futs, put(1, n+1)...)
+			want := [][]uint64{{0}, seqKeys(1, n+1)}
+			var views chan sumView
+			if snap {
+				views = make(chan sumView, 1)
+				go func() {
+					v, err := s.Snapshot()
+					if err != nil {
+						t.Errorf("Snapshot: %v", err)
+					}
+					views <- v
+				}()
+				// The marker is queued once the mailbox holds it behind
+				// the n writes; then queue n more behind it.
+				mail := s.eng.shards[0].mail
+				for deadline := time.Now().Add(10 * time.Second); len(mail) < n+1; {
+					if time.Now().After(deadline) {
+						t.Fatalf("snapshot marker never queued: %d in mailbox", len(mail))
+					}
+					runtime.Gosched()
+				}
+				futs = append(futs, put(n+1, 2*n+1)...)
+				want = append(want, seqKeys(n+1, 2*n+1))
+			}
+			release()
+			for _, f := range futs {
+				if a := f.Wait(); a.Err != nil {
+					t.Fatalf("future seq %d: %v", f.Seq(), a.Err)
+				}
+			}
+			mu.Lock()
+			got := calls
+			mu.Unlock()
+			if !slices.EqualFunc(got, want, slices.Equal[[]uint64]) {
+				t.Fatalf("apply calls = %v, want %v", got, want)
+			}
+			if !snap {
+				return
+			}
+			v := <-views
+			if v.Seq() != n+1 {
+				t.Fatalf("snapshot Seq = %d, want %d", v.Seq(), n+1)
+			}
+			if keys := v.Keys(); !slices.Equal(keys, seqKeys(0, n+1)) {
+				t.Fatalf("snapshot keys = %v, want the prefix %v", keys, seqKeys(0, n+1))
+			}
+		})
+	}
+}
+
+// seqKeys returns lo, lo+1, ..., hi-1.
+func seqKeys(lo, hi uint64) []uint64 {
+	var ks []uint64
+	for k := lo; k < hi; k++ {
+		ks = append(ks, k)
+	}
+	return ks
 }
 
 // TestCloseGoroutineBaseline checks that Close tears down every
@@ -233,12 +359,15 @@ func TestErrClosedSticky(t *testing.T) {
 			_, err := s.Rebalance()
 			return err
 		}},
+		{"hash/Rebalance", func() error { _, err := kv.Rebalance(); return err }},
 		{"points/Snapshot", func() error { _, err := pt.Snapshot(); return err }},
 		{"points/Rebalance", func() error { _, err := pt.Rebalance(); return err }},
 		{"durable/Snapshot", func() error { _, err := d.Snapshot(); return err }},
+		{"durable/Rebalance", func() error { _, err := d.Rebalance(); return err }},
 		{"durable/Checkpoint", func() error { _, err := d.Checkpoint(); return err }},
 		{"durable/Compact", func() error { _, err := d.Compact(); return err }},
 		{"durablepoints/Snapshot", func() error { _, err := dp.Snapshot(); return err }},
+		{"durablepoints/Rebalance", func() error { _, err := dp.Rebalance(); return err }},
 		{"durablepoints/Checkpoint", func() error { _, err := dp.Checkpoint(); return err }},
 		{"durablepoints/Compact", func() error { _, err := dp.Compact(); return err }},
 		{"store/ReaderView", func() error { _, err := kv.ReaderView(); return err }},
@@ -264,7 +393,7 @@ func TestCloseDuringInflight(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := NewRangeStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](
 				pam.Options{}, []uint64{1 << 32},
-				Tuning{MailboxDepth: 2, ShardOpBudget: 16, Backpressure: mode, FlushWait: 100 * time.Microsecond})
+				Tuning{MailboxDepth: 2, ShardOpBudget: 16, Backpressure: mode})
 			var accepted atomic.Int64
 			var wg sync.WaitGroup
 			for w := 0; w < 6; w++ {
@@ -402,7 +531,7 @@ func TestPointAutoRebalanceTrigger(t *testing.T) {
 // counts add up after quiescence, queue charges return to zero, and the
 // flush-latency EWMA is populated once a shard has flushed.
 func TestStatsCounters(t *testing.T) {
-	s := newTunedRange(t, Tuning{FlushWait: 50 * time.Microsecond}, 50)
+	s := newRange(t, 50)
 	var futs []*Future
 	for k := uint64(0); k < 100; k++ {
 		f, err := s.PutAsync(k, int64(k))

@@ -289,9 +289,8 @@ type durable[O, T any] struct {
 // and Apply returns nil, only after the batch's WAL record is fsynced.
 //
 // The same opts, shard count, hash, and codec must be passed at every
-// reopen; they are the store's schema, not part of the files.
-// Serialization requires opts.Pool == false. All methods are safe for
-// concurrent use.
+// reopen; they are the store's schema, not part of the files. All
+// methods are safe for concurrent use.
 type DurableStore[K, V, A any, E pam.Aug[K, V, A]] struct {
 	*hashStore[K, V, A, E]
 	*durable[Op[K, V], pam.AugMap[K, V, A, E]]
@@ -566,14 +565,10 @@ func recoverChain[T any](fs FS, cf ckptFormat[T], ckpts []int, rec *RecoveryStat
 // the WAL suffix through route and apply. It returns the recovered
 // shard states and the sequence number the store resumes at; the
 // caller builds its store on them with d.hooks() and then calls
-// d.start. opts are the shard structures' options (serialization
-// requires opts.Pool == false).
-func openDurable[O, T any](opts pam.Options, cfg DurableConfig, enc opCodec[O], cf ckptFormat[T], route func(O) int, apply func(T, []O) T) (d *durable[O, T], states []T, next uint64, err error) {
+// d.start.
+func openDurable[O, T any](cfg DurableConfig, enc opCodec[O], cf ckptFormat[T], route func(O) int, apply func(T, []O) T) (d *durable[O, T], states []T, next uint64, err error) {
 	if cfg.FS == nil {
 		return nil, nil, 0, errors.New("serve: DurableConfig.FS is required")
-	}
-	if opts.Pool {
-		return nil, nil, 0, errors.New("serve: durable stores require Options.Pool == false")
 	}
 	names, err := cfg.FS.List()
 	if err != nil {
@@ -682,7 +677,7 @@ func OpenDurableStore[K, V, A any, E pam.Aug[K, V, A]](opts pam.Options, shards 
 	n := uint64(shards)
 	route := func(o Op[K, V]) int { return int(hash(o.Key) % n) }
 	cf := &mapFormat[K, V, A, E]{opts: opts, codec: codec, shards: shards, live: cfg.CompactDeadRatio > 0}
-	d, states, next, err := openDurable(opts, cfg, storeOpCodec(codec), cf, route, applyOps[K, V, A, E])
+	d, states, next, err := openDurable(cfg, storeOpCodec(codec), cf, route, applyOps[K, V, A, E])
 	if err != nil {
 		return nil, err
 	}

@@ -322,12 +322,12 @@ func (c *pointChain) resume() ([]rangetree.Tree, int, error) { return c.states, 
 
 // DurablePointStore is a PointStore made durable by the engine
 // DurableStore uses — the WAL and full ladder checkpoints. The same
-// opts and splits must be passed at every reopen; requires opts.Pool ==
-// false. See DurableStore for the acknowledgment and recovery
-// guarantees — they are identical, including quarantine, fallback, and
-// scrub/repair. Apply, ApplyAsync, Insert, InsertAsync, Delete,
-// DeleteAsync, Snapshot, ReaderView, Stats, Splits, PendingCarries,
-// and NumShards are the embedded PointStore's; through the durable
+// opts and splits must be passed at every reopen. See DurableStore for
+// the acknowledgment and recovery guarantees — they are identical,
+// including quarantine, fallback, and scrub/repair. Apply, ApplyAsync,
+// Insert, InsertAsync, Delete, DeleteAsync, Snapshot, ReaderView,
+// Stats, Splits, PendingCarries, and NumShards are the embedded
+// PointStore's; through the durable
 // engine a future resolves, and Apply returns nil, only after the
 // batch's WAL record is fsynced.
 type DurablePointStore struct {
@@ -345,7 +345,7 @@ type DurablePointStore struct {
 // compaction does.
 func OpenDurablePointStore(opts pam.Options, splits []float64, cfg DurableConfig) (*DurablePointStore, error) {
 	cf := pointFormat{opts: opts, shards: len(splits) + 1}
-	d, states, next, err := openDurable(opts, cfg, pointOpEnc, cf, pointRouter(splits), applyPointOps)
+	d, states, next, err := openDurable(cfg, pointOpEnc, cf, pointRouter(splits), applyPointOps)
 	if err != nil {
 		return nil, err
 	}
@@ -353,9 +353,10 @@ func OpenDurablePointStore(opts pam.Options, splits []float64, cfg DurableConfig
 	return &DurablePointStore{pointStore: s, durable: d.start(s.eng, cfg)}, nil
 }
 
-// Rebalance does nothing and returns (false, nil): a durable store's
-// routing is part of its on-disk schema and never changes.
-func (d *DurablePointStore) Rebalance() (bool, error) { return false, nil }
+// Rebalance does nothing and returns (false, nil), or ErrClosed after
+// Close: a durable store's routing is part of its on-disk schema and
+// never changes.
+func (d *DurablePointStore) Rebalance() (bool, error) { return false, d.pointStore.eng.closedErr() }
 
 // Close stops the scrubber, the shard goroutines, and the carry
 // workers, and flushes the WAL. In-flight futures resolve (durably

@@ -43,10 +43,29 @@ type File interface {
 	Close() error
 }
 
-// OSFS implements FS on a directory of the real filesystem.
+// OSFS implements FS on a directory of the real filesystem. Rename, and
+// Append when it creates the file, fsync the directory before they
+// return: fsync(2) on a file does not make its directory entry durable,
+// so without it a crash could drop a published checkpoint or a new WAL
+// generation. Create does not: the checkpoint protocol publishes every
+// created file by Rename.
 type OSFS struct {
 	// Dir is the directory holding the files; it must exist.
 	Dir string
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in
+// it durable. Tests replace it to observe or fail the sync.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (o OSFS) path(name string) string { return filepath.Join(o.Dir, name) }
@@ -54,13 +73,31 @@ func (o OSFS) path(name string) string { return filepath.Join(o.Dir, name) }
 func (o OSFS) Create(name string) (File, error) { return os.Create(o.path(name)) }
 
 func (o OSFS) Append(name string) (File, error) {
-	return os.OpenFile(o.path(name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(o.path(name), os.O_WRONLY|os.O_APPEND, 0)
+	if err == nil {
+		return f, nil
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	f, err = os.OpenFile(o.path(name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syncDir(o.Dir); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 func (o OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(o.path(name)) }
 
 func (o OSFS) Rename(oldname, newname string) error {
-	return os.Rename(o.path(oldname), o.path(newname))
+	if err := os.Rename(o.path(oldname), o.path(newname)); err != nil {
+		return err
+	}
+	return syncDir(o.Dir)
 }
 
 func (o OSFS) Remove(name string) error { return os.Remove(o.path(name)) }

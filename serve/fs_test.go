@@ -1,9 +1,12 @@
 package serve
 
-// Direct unit tests of the MemFS failpoint model — the instrument every
-// crash schedule trusts. Pinned here: kill-point budget accounting,
-// torn-write prefixes, the synced/unsynced split in DurableState, the
-// rename publication rule, and CorruptFile's exactly-one-bit semantics.
+// Direct unit tests of the FS implementations. Most pin the MemFS
+// failpoint model — the instrument every crash schedule trusts:
+// kill-point budget accounting, torn-write prefixes, the
+// synced/unsynced split in DurableState, the rename publication rule,
+// and CorruptFile's exactly-one-bit semantics. TestOSFSSyncsDir pins
+// the directory fsyncs that give OSFS the durable renames and creates
+// MemFS models.
 
 import (
 	"bytes"
@@ -253,4 +256,71 @@ func popcount(b byte) int {
 		n++
 	}
 	return n
+}
+
+// TestOSFSSyncsDir checks that OSFS makes its directory entries
+// durable: a Rename, and an Append that creates its file, fsync the
+// directory and return that sync's error. An Append to an existing file
+// and a Create leave the directory alone.
+func TestOSFSSyncsDir(t *testing.T) {
+	dir := t.TempDir()
+	o := OSFS{Dir: dir}
+	var synced []string
+	var fail error
+	realSync := syncDir
+	syncDir = func(d string) error {
+		synced = append(synced, d)
+		return fail
+	}
+	t.Cleanup(func() { syncDir = realSync })
+	expect := func(step string, n int) {
+		t.Helper()
+		if len(synced) != n {
+			t.Fatalf("after %s: %d directory syncs, want %d", step, len(synced), n)
+		}
+		for _, d := range synced {
+			if d != dir {
+				t.Fatalf("after %s: synced %q, want %q", step, d, dir)
+			}
+		}
+	}
+	write := func(f File, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	write(o.Append("wal-1"))
+	expect("an Append that creates", 1)
+	write(o.Append("wal-1"))
+	expect("an Append to an existing file", 1)
+	write(o.Create("ckpt.tmp"))
+	expect("a Create", 1)
+	if err := o.Rename("ckpt.tmp", "ckpt"); err != nil {
+		t.Fatal(err)
+	}
+	expect("a Rename", 2)
+	if got, err := o.ReadFile("wal-1"); err != nil || string(got) != "xx" {
+		t.Fatalf("wal-1 = %q, %v; want both appends", got, err)
+	}
+
+	fail = errors.New("injected directory fsync failure")
+	if err := o.Rename("ckpt", "ckpt2"); !errors.Is(err, fail) {
+		t.Fatalf("Rename with a failing directory sync = %v, want %v", err, fail)
+	}
+	if f, err := o.Append("wal-2"); !errors.Is(err, fail) || f != nil {
+		t.Fatalf("creating Append with a failing directory sync = %v, %v; want nil, %v", f, err, fail)
+	}
+	expect("the failing syncs", 4)
+
+	if err := realSync(dir); err != nil {
+		t.Fatalf("directory fsync: %v", err)
+	}
 }

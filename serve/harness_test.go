@@ -29,7 +29,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dynamic"
 	"repro/internal/workload"
@@ -563,23 +562,21 @@ func runAsyncMapSchedule(t *testing.T, seed uint64, cfg workload.ScheduleCfg, sh
 }
 
 // asyncHarnessTuning varies the pipeline knobs across schedules: the
-// default greedy pipeline, tiny mailbox/op budgets (full-mailbox
-// admission paths), non-zero coalescing windows (max-wait flushes), and
-// every seventh schedule fast-fail backpressure (writers retry).
+// default pipeline, tiny mailbox/op budgets (full-mailbox admission
+// paths), small flush caps (drains split across flushes), and every
+// seventh schedule fast-fail backpressure (writers retry).
 func asyncHarnessTuning(i int) Tuning {
 	var tun Tuning
 	switch i % 4 {
-	case 0: // defaults: deep mailboxes, greedy flush
+	case 0: // defaults: deep mailboxes, 4096-op flush cap
 	case 1:
 		tun.MailboxDepth = 1 + i%3
 		tun.ShardOpBudget = 4 + i%13
 	case 2:
-		tun.FlushWait = time.Duration(50+50*(i%7)) * time.Microsecond
 		tun.FlushOps = 2 + i%11
 	case 3:
 		tun.MailboxDepth = 2
 		tun.ShardOpBudget = 8
-		tun.FlushWait = 200 * time.Microsecond
 	}
 	if i%7 == 3 {
 		tun.Backpressure = BackpressureFastFail
@@ -590,7 +587,7 @@ func asyncHarnessTuning(i int) Tuning {
 // TestServeAsyncDifferentialSchedules is the async half of the headline
 // check: 1000+ randomized schedules of fire-and-forget writers across
 // varied partitioning, mailbox bounds, backpressure policies, and
-// coalescing windows, each differentially verified against the
+// flush caps, each differentially verified against the
 // sequential oracle. Run under -race by `make race` and CI.
 func TestServeAsyncDifferentialSchedules(t *testing.T) {
 	schedules := 1000
@@ -617,7 +614,7 @@ func TestServeAsyncDifferentialSchedules(t *testing.T) {
 
 // TestServeAsyncDeep runs fewer, larger async schedules with a
 // concurrent rebalancer in flight and tight budgets, so blocked
-// admission, coalescing holds, markers, and route changes interleave.
+// admission, coalesced drains, markers, and route changes interleave.
 func TestServeAsyncDeep(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		cfg := workload.ScheduleCfg{
@@ -628,7 +625,7 @@ func TestServeAsyncDeep(t *testing.T) {
 			DelEvery:  3,
 			SnapEvery: 3,
 		}
-		tun := Tuning{MailboxDepth: 2, ShardOpBudget: 48, FlushWait: 100 * time.Microsecond, FlushOps: 24}
+		tun := Tuning{MailboxDepth: 2, ShardOpBudget: 48, FlushOps: 24}
 		runAsyncMapSchedule(t, seed, cfg, 4, true, true, tun)
 		if t.Failed() {
 			t.Fatalf("deep async schedule seed %d failed", seed)

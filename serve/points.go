@@ -184,7 +184,7 @@ func (s *PointStore) ApplyAsync(ops []PointOp) (*Future, error) {
 	if err := checkPointOps(ops); err != nil {
 		return nil, err
 	}
-	return s.eng.applyAsync(ops, false)
+	return s.eng.applyAsync(ops)
 }
 
 // Insert adds the weighted point (weights add for an already-present

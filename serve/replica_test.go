@@ -474,7 +474,7 @@ func TestServeStressCarries(t *testing.T) {
 	defer dynamic.SetFlushCap(old)
 
 	s := NewPointStore(pam.Options{}, []float64{5, 11},
-		Tuning{CarryWorkers: 3, MaxPendingCarries: 2, ReplicaRefresh: 100 * time.Microsecond})
+		Tuning{CarryWorkers: 3, MaxPendingCarries: 2})
 	defer s.Close()
 
 	const writers, perW = 3, 200

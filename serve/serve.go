@@ -10,13 +10,13 @@
 // op mailbox. Writers never touch shard state: a batch is admitted
 // against the target shards' budgets, split by the routing function
 // under a global sequencer lock, and its per-shard sub-batches pushed
-// into the mailboxes. Shards drain their mailboxes, holding adjacent
-// write sub-batches so that one flush covers many of them, and a flush
-// is one net update (for maps, the last op per key, applied as one
-// MultiDelete and one MultiInsert), so a burst of small writes
-// amortizes into the structures' parallel bulk machinery — the paper's
-// "updates are sequentialized ... applied when needed in bulk"
-// concurrency model, scaled out across partitions.
+// into the mailboxes. Shards drain their mailboxes, folding the write
+// sub-batches already queued into one flush, and a flush is one net
+// update (for maps, the last op per key, applied as one MultiDelete
+// and one MultiInsert), so a burst of small writes amortizes into the
+// structures' parallel bulk machinery — the paper's "updates are
+// sequentialized ... applied when needed in bulk" concurrency model,
+// scaled out across partitions.
 //
 // Because the per-shard structures are persistent, a snapshot is
 // zero-copy: Snapshot injects a marker into every mailbox at a single
@@ -41,19 +41,20 @@
 //	  - Sequencing: an admitted batch gets the next global seqno, is
 //	    appended to the WAL hook (durable stores), and its sub-batches
 //	    enter the mailboxes, all under one sequencer lock.
-//	  - Flush: each shard holds async sub-batches to coalesce them,
-//	    flushing when held ops reach Tuning.FlushOps, when
-//	    Tuning.FlushWait has passed since the oldest held op arrived,
-//	    when a synchronous writer is waiting, or when a snapshot/
-//	    rebalance marker (or Close) demands the up-to-date state.
+//	  - Flush: a shard takes the next sub-batch from its mailbox,
+//	    drains the ones already queued behind it (up to
+//	    Tuning.FlushOps ops), and applies them all as one flush. It
+//	    never waits for more work to arrive, so a burst coalesces
+//	    while an idle shard applies a lone write at once. A snapshot
+//	    or rebalance marker met mid-drain ends the drain and is served
+//	    right after that flush.
 //	  - Resolution: a single resolver goroutine completes futures in
 //	    global sequence order — a future never resolves before every
 //	    batch sequenced ahead of it. On durable stores the resolver
 //	    first waits for the WAL group-commit fsync covering the batch,
 //	    so a resolved future is a durability guarantee (see Ack.Err).
 //
-// The sync Apply is the async pipeline with an urgent flag (shards skip
-// the coalescing hold) plus Future.Wait.
+// The sync Apply is the async pipeline plus Future.Wait.
 //
 // # The snapshot-consistency guarantee
 //
@@ -69,8 +70,8 @@
 //   - Prefix consistency: the view equals the state reached by applying
 //     batches 0..S-1, in sequence order, to an initially empty store. No
 //     gaps: a view can never show batch j without every batch i < j.
-//     Held (coalescing) sub-batches don't weaken this: a marker forces
-//     the shard to flush everything held before reporting its state.
+//     Coalescing doesn't weaken this: a shard applies every sub-batch
+//     drained ahead of a marker before reporting its state.
 //   - Real-time bound: if Apply(b) returned — or b's future resolved —
 //     before Snapshot was called, then b's sequence number is below S,
 //     so b is visible. A batch still unresolved when the snapshot was
@@ -96,8 +97,6 @@
 // its own sub-batch stream (versions and epochs only move forward),
 // but different shards may reflect different global sequence points, so
 // a multi-shard batch can be partially visible and View.Seq reports 0.
-// Tuning.ReplicaRefresh rate-limits publication; zero publishes on
-// every flush.
 //
 // # Background carries
 //
@@ -169,12 +168,8 @@ type shardState[T any] struct {
 // msg is one mailbox item: a write sub-batch (ops + fut), a snapshot
 // marker (snap), or a rebalance marker (snap + install).
 type msg[O, T any] struct {
-	ops []O
-	fut *Future
-	// urgent marks a sub-batch whose writer is blocked on the result
-	// (sync Apply): the shard flushes immediately instead of holding
-	// it for the coalescing window.
-	urgent  bool
+	ops     []O
+	fut     *Future
 	snap    chan<- shardState[T]
 	install <-chan T
 }
@@ -228,9 +223,9 @@ type engine[O, T any] struct {
 
 	// pub is the replica-publication slot: the last state each shard
 	// published at an epoch boundary, read lock-free by ReaderView.
-	// Shards republish their slot (copy-on-write CAS) after flushes,
-	// throttled by Tuning.ReplicaRefresh; rebalance rewrites the whole
-	// vector while every shard is frozen at its marker.
+	// Shards republish their slot (copy-on-write CAS) after every
+	// flush; rebalance rewrites the whole vector while every shard is
+	// frozen at its marker.
 	pub atomic.Pointer[published[O, T]]
 	// closedFl mirrors closed for lock-free ReaderView checks.
 	closedFl atomic.Bool
@@ -324,7 +319,7 @@ func (e *engine[O, T]) overBudget(per [][]O) int {
 // completion future. It returns ErrClosed after close, ErrOverloaded
 // under fast-fail backpressure; under blocking backpressure it parks
 // until the target shards drain enough budget.
-func (e *engine[O, T]) applyAsync(ops []O, urgent bool) (*Future, error) {
+func (e *engine[O, T]) applyAsync(ops []O) (*Future, error) {
 	for {
 		e.mu.Lock()
 		if e.closed {
@@ -340,7 +335,7 @@ func (e *engine[O, T]) applyAsync(ops []O, urgent bool) (*Future, error) {
 			per[i] = append(per[i], op)
 		}
 		if e.overBudget(per) < 0 {
-			f := e.submitLocked(ops, per, urgent)
+			f := e.submitLocked(ops, per)
 			e.mu.Unlock()
 			return f, nil
 		}
@@ -369,7 +364,7 @@ func (e *engine[O, T]) applyAsync(ops []O, urgent bool) (*Future, error) {
 // the pushes cannot block on budgeted traffic because the budget was
 // just reserved (only unbudgeted markers can briefly occupy slots, and
 // shards always drain those).
-func (e *engine[O, T]) submitLocked(ops []O, per [][]O, urgent bool) *Future {
+func (e *engine[O, T]) submitLocked(ops []O, per [][]O) *Future {
 	f := &Future{
 		seq:     e.seq,
 		enq:     time.Now(),
@@ -399,17 +394,17 @@ func (e *engine[O, T]) submitLocked(ops []O, per [][]O, urgent bool) *Future {
 		s := e.shards[i]
 		s.qMsgs.Add(1)
 		s.qOps.Add(int64(len(sub)))
-		s.mail <- msg[O, T]{ops: sub, fut: f, urgent: urgent}
+		s.mail <- msg[O, T]{ops: sub, fut: f}
 	}
 	return f
 }
 
-// applyBatch is the synchronous write path: the async pipeline with the
-// urgent flag plus Wait. Returns the batch's global sequence number;
-// for durable stores the error is the commit (WAL fsync) error, with
-// the seqno still valid.
+// applyBatch is the synchronous write path: the async pipeline plus
+// Wait. Returns the batch's global sequence number; for durable stores
+// the error is the commit (WAL fsync) error, with the seqno still
+// valid.
 func (e *engine[O, T]) applyBatch(ops []O) (uint64, error) {
-	f, err := e.applyAsync(ops, true)
+	f, err := e.applyAsync(ops)
 	if err != nil {
 		return 0, err
 	}
@@ -443,67 +438,40 @@ func (e *engine[O, T]) resolveLoop() {
 	}
 }
 
-// shardLoop drains the mailbox: write sub-batches are held to coalesce
-// (flushing on the FlushOps size trigger, the FlushWait time trigger,
-// an urgent sync writer, a marker, or mailbox close — markers always
-// force a flush first so the global order stays exact) and applied in
-// bulk; markers report the current state and, for rebalance, block
-// until the replacement state arrives.
+// shardLoop drains the mailbox in rounds. A round receives one
+// message, drains whatever else is already queued up to Tuning.FlushOps
+// ops, applies the drained sub-batches as one flush, and publishes the
+// new state. A marker is served only with every sub-batch ahead of it
+// applied, so the global order stays exact: one met mid-drain ends the
+// drain and is served right after that flush. A rebalance marker then
+// blocks until the replacement state arrives.
 func (e *engine[O, T]) shardLoop(s *shard[O, T]) {
 	defer e.wg.Done()
 	var (
-		held      []O       // coalesced ops, in arrival (= sequence) order
-		futs      []*Future // one per held sub-batch
-		urgent    bool      // a sync writer is waiting on a held sub-batch
-		holdStart time.Time // when the oldest held sub-batch arrived
-		deferred  msg[O, T] // marker met while draining greedily
-		haveDef   bool
-
-		lastPub    time.Time // when this shard last published its replica slot
-		pendingPub bool      // a publish is owed once ReplicaRefresh elapses
+		held []O       // drained ops, in arrival (= sequence) order
+		futs []*Future // one per drained sub-batch
 	)
-	// publish installs this shard's current state into the engine's
-	// replica slot with a copy-on-write CAS (other shards race on their
-	// own slots, never on this one, so the loop is short).
-	publish := func() {
-		for {
-			old := e.pub.Load()
-			np := &published[O, T]{
-				states:   append([]T(nil), old.states...),
-				versions: append([]uint64(nil), old.versions...),
-				epochs:   append([]uint64(nil), old.epochs...),
-				route:    old.route,
-			}
-			np.states[s.idx] = s.state
-			np.versions[s.idx] = s.version
-			np.epochs[s.idx]++
-			if e.pub.CompareAndSwap(old, np) {
-				break
-			}
-		}
-		lastPub, pendingPub = time.Now(), false
-	}
-	// maybePublish publishes now, or defers to the idle timer while the
-	// ReplicaRefresh window is still open.
-	maybePublish := func() {
-		if d := e.tun.ReplicaRefresh; d > 0 && time.Since(lastPub) < d {
-			pendingPub = true
-			return
-		}
-		publish()
-	}
 	accept := func(m msg[O, T]) {
-		if len(futs) == 0 {
-			holdStart = time.Now()
-		}
 		held = append(held, m.ops...)
 		futs = append(futs, m.fut)
-		urgent = urgent || m.urgent
+	}
+	// drain accepts what is already queued, up to FlushOps. It stops
+	// early at a marker, which it returns, or at close, returning false.
+	drain := func() (msg[O, T], bool) {
+		for len(held) < e.tun.FlushOps {
+			select {
+			case m, ok := <-s.mail:
+				if !ok || m.snap != nil {
+					return m, ok
+				}
+				accept(m)
+			default:
+				return msg[O, T]{}, true
+			}
+		}
+		return msg[O, T]{}, true
 	}
 	flush := func() {
-		if len(futs) == 0 {
-			return
-		}
 		s.state = e.apply(s.idx, s.state, held)
 		s.version += uint64(len(futs))
 		now := time.Now()
@@ -517,7 +485,7 @@ func (e *engine[O, T]) shardLoop(s *shard[O, T]) {
 			}
 		}
 		nOps, nMsgs := len(held), len(futs)
-		held, futs, urgent = nil, nil, false
+		held, futs = nil, nil
 		// Release the budget, then wake parked writers. The decrement
 		// must happen-before the broadcast under admitMu — that pairing
 		// is what makes blocked admission free of missed wakeups.
@@ -526,7 +494,24 @@ func (e *engine[O, T]) shardLoop(s *shard[O, T]) {
 		e.admitMu.Lock()
 		e.admitCond.Broadcast()
 		e.admitMu.Unlock()
-		maybePublish()
+		// Publish the new state into this shard's replica slot with a
+		// copy-on-write CAS (other shards race on their own slots, never
+		// on this one, so the loop is short).
+		for {
+			old := e.pub.Load()
+			np := &published[O, T]{
+				states:   append([]T(nil), old.states...),
+				versions: append([]uint64(nil), old.versions...),
+				epochs:   append([]uint64(nil), old.epochs...),
+				route:    old.route,
+			}
+			np.states[s.idx] = s.state
+			np.versions[s.idx] = s.version
+			np.epochs[s.idx]++
+			if e.pub.CompareAndSwap(old, np) {
+				return
+			}
+		}
 	}
 	marker := func(m msg[O, T]) {
 		m.snap <- shardState[T]{idx: s.idx, state: s.state, version: s.version}
@@ -536,84 +521,20 @@ func (e *engine[O, T]) shardLoop(s *shard[O, T]) {
 		}
 	}
 	for {
-		var m msg[O, T]
-		var ok bool
-		switch {
-		case haveDef:
-			m, ok, haveDef = deferred, true, false
-		case len(futs) == 0:
-			if pendingPub {
-				// A publish is owed: wait for more mail only until the
-				// refresh window closes, then flush the replica slot.
-				if wait := e.tun.ReplicaRefresh - time.Since(lastPub); wait <= 0 {
-					publish()
-					continue
-				} else {
-					t := time.NewTimer(wait)
-					select {
-					case m, ok = <-s.mail:
-						t.Stop()
-						if !ok {
-							return
-						}
-					case <-t.C:
-						publish()
-						continue
-					}
-				}
-			} else if m, ok = <-s.mail; !ok {
+		m, ok := <-s.mail
+		if !ok {
+			return
+		}
+		if m.snap == nil {
+			accept(m)
+			m, ok = drain()
+			flush()
+			if !ok {
 				return
-			}
-		default:
-			// Ops are held. Sync writers and the size trigger flush
-			// now; otherwise wait out the rest of the coalescing
-			// window for more work.
-			if urgent || len(held) >= e.tun.FlushOps {
-				flush()
-				continue
-			}
-			wait := e.tun.FlushWait - time.Since(holdStart)
-			if wait <= 0 {
-				flush()
-				continue
-			}
-			t := time.NewTimer(wait)
-			select {
-			case m, ok = <-s.mail:
-				t.Stop()
-				if !ok {
-					flush()
-					return
-				}
-			case <-t.C:
-				flush()
-				continue
 			}
 		}
 		if m.snap != nil {
-			flush()
 			marker(m)
-			continue
-		}
-		accept(m)
-		// Greedy drain: fold everything immediately available, up to
-		// the size trigger, stopping at any marker.
-	drain:
-		for len(held) < e.tun.FlushOps {
-			select {
-			case m2, ok2 := <-s.mail:
-				if !ok2 {
-					flush()
-					return
-				}
-				if m2.snap != nil {
-					deferred, haveDef = m2, true
-					break drain
-				}
-				accept(m2)
-			default:
-				break drain
-			}
 		}
 	}
 }
@@ -762,14 +683,23 @@ func (e *engine[O, T]) rebalance(redistribute func(states []T) ([]T, func(O) int
 // ErrClosed after close. Lock-free: it never touches the sequencer, so
 // replica reads scale independently of writers and snapshotters.
 func (e *engine[O, T]) readerView() (*published[O, T], error) {
-	if e.closedFl.Load() {
-		return nil, ErrClosed
+	if err := e.closedErr(); err != nil {
+		return nil, err
 	}
 	return e.pub.Load(), nil
 }
 
+// closedErr returns ErrClosed once close has begun, else nil, without
+// taking the sequencer lock.
+func (e *engine[O, T]) closedErr() error {
+	if e.closedFl.Load() {
+		return ErrClosed
+	}
+	return nil
+}
+
 // close shuts the pipeline down: new writes get ErrClosed, parked
-// writers are woken into the error, shards flush everything held and
+// writers are woken into the error, shards flush everything queued and
 // exit, and the resolver drains the remaining futures — every future
 // issued before close resolves.
 func (e *engine[O, T]) close() {

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/seq"
 	"repro/pam"
@@ -112,8 +111,8 @@ func TestStoreBasics(t *testing.T) {
 
 // TestBatchOrderWithinBatch checks that ops of one batch apply in slice
 // order: put-delete-put on one key must leave the last value. The last
-// input is coalesced: several async batches, held by a long FlushWait,
-// reach their shards as one flush when Snapshot forces it, and must
+// input is coalesced: several async batches queue behind each shard's
+// held first flush, reach apply together once the gate opens, and must
 // still equal the batches applied in sequence.
 func TestBatchOrderWithinBatch(t *testing.T) {
 	s := newHash(t, 2)
@@ -135,12 +134,8 @@ func TestBatchOrderWithinBatch(t *testing.T) {
 		t.Fatal("put-then-delete left the key present")
 	}
 
-	held, err := NewHashStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](
-		pam.Options{}, 2, mixHash, Tuning{FlushWait: time.Hour})
-	if err != nil {
-		t.Fatalf("NewHashStore: %v", err)
-	}
-	defer held.Close()
+	held := newHash(t, 2)
+	_, release := holdFlushes(t, held.eng)
 	rng := rand.New(rand.NewSource(7))
 	oracle := map[uint64]int64{}
 	nOps := 0
@@ -167,8 +162,9 @@ func TestBatchOrderWithinBatch(t *testing.T) {
 		queued += st.QueuedOps
 	}
 	if applied != 0 || queued != int64(nOps) {
-		t.Fatalf("before Snapshot: %d ops applied, %d queued; want 0, %d (all held)", applied, queued, nOps)
+		t.Fatalf("before release: %d ops applied, %d queued; want 0, %d (all held)", applied, queued, nOps)
 	}
+	release()
 	hv, err := held.Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)

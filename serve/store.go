@@ -198,11 +198,10 @@ func (s *Store[K, V, A, E]) Apply(ops []Op[K, V]) (uint64, error) { return s.eng
 
 // ApplyAsync submits one write batch fire-and-forget and returns its
 // completion future: the batch is already sequenced (Future.Seq) but
-// may not be applied yet. Shards may hold async batches up to
-// Tuning.FlushWait to coalesce them. Futures resolve in global
-// sequence order; see the package comment.
+// may not be applied yet. Futures resolve in global sequence order;
+// see the package comment.
 func (s *Store[K, V, A, E]) ApplyAsync(ops []Op[K, V]) (*Future, error) {
-	return s.eng.applyAsync(ops, false)
+	return s.eng.applyAsync(ops)
 }
 
 // Put stores (k, v), overwriting any existing value, and returns the
@@ -303,7 +302,7 @@ func (s *Store[K, V, A, E]) Close() {
 // fires automatically on sustained size or latency skew.
 func (s *Store[K, V, A, E]) Rebalance() (bool, error) {
 	if !s.ranged {
-		return false, nil
+		return false, s.eng.closedErr()
 	}
 	type T = pam.AugMap[K, V, A, E]
 	err := s.eng.rebalance(func(states []T) ([]T, func(Op[K, V]) int) {
