@@ -2,7 +2,6 @@
 # (.github/workflows/ci.yml does exactly that, plus a fuzz smoke job).
 
 GO ?= go
-GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
 .PHONY: all build test fmt vet race crash compact-crash bench bench-smoke bench-json bench-gate fuzz ci
@@ -18,7 +17,8 @@ test:
 # Fails when gofmt would change any tracked Go file. Listing the files
 # through git skips untracked build output such as .bench_build/.
 fmt:
-	@out=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	@files=$$(git ls-files '*.go') || exit 1; \
+	out=$$(gofmt -l $$files) || exit 1; \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:

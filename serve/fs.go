@@ -43,12 +43,12 @@ type File interface {
 	Close() error
 }
 
-// OSFS implements FS on a directory of the real filesystem. Rename, and
-// Append when it creates the file, fsync the directory before they
-// return: fsync(2) on a file does not make its directory entry durable,
-// so without it a crash could drop a published checkpoint or a new WAL
-// generation. Create does not: the checkpoint protocol publishes every
-// created file by Rename.
+// OSFS implements FS on a directory of the real filesystem. Rename and
+// Append fsync the directory before they return: fsync(2) on a file
+// does not make its directory entry durable, so without it a crash
+// could drop a published checkpoint or a new WAL generation. Create
+// does not: the checkpoint protocol publishes every created file by
+// Rename.
 type OSFS struct {
 	// Dir is the directory holding the files; it must exist.
 	Dir string
@@ -73,14 +73,7 @@ func (o OSFS) path(name string) string { return filepath.Join(o.Dir, name) }
 func (o OSFS) Create(name string) (File, error) { return os.Create(o.path(name)) }
 
 func (o OSFS) Append(name string) (File, error) {
-	f, err := os.OpenFile(o.path(name), os.O_WRONLY|os.O_APPEND, 0)
-	if err == nil {
-		return f, nil
-	}
-	if !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	f, err = os.OpenFile(o.path(name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(o.path(name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}

@@ -259,9 +259,8 @@ func popcount(b byte) int {
 }
 
 // TestOSFSSyncsDir checks that OSFS makes its directory entries
-// durable: a Rename, and an Append that creates its file, fsync the
-// directory and return that sync's error. An Append to an existing file
-// and a Create leave the directory alone.
+// durable: a Rename and an Append fsync the directory and return that
+// sync's error. A Create leaves the directory alone.
 func TestOSFSSyncsDir(t *testing.T) {
 	dir := t.TempDir()
 	o := OSFS{Dir: dir}
@@ -298,15 +297,15 @@ func TestOSFSSyncsDir(t *testing.T) {
 	}
 
 	write(o.Append("wal-1"))
-	expect("an Append that creates", 1)
+	expect("an Append", 1)
 	write(o.Append("wal-1"))
-	expect("an Append to an existing file", 1)
+	expect("a second Append", 2)
 	write(o.Create("ckpt.tmp"))
-	expect("a Create", 1)
+	expect("a Create", 2)
 	if err := o.Rename("ckpt.tmp", "ckpt"); err != nil {
 		t.Fatal(err)
 	}
-	expect("a Rename", 2)
+	expect("a Rename", 3)
 	if got, err := o.ReadFile("wal-1"); err != nil || string(got) != "xx" {
 		t.Fatalf("wal-1 = %q, %v; want both appends", got, err)
 	}
@@ -316,9 +315,9 @@ func TestOSFSSyncsDir(t *testing.T) {
 		t.Fatalf("Rename with a failing directory sync = %v, want %v", err, fail)
 	}
 	if f, err := o.Append("wal-2"); !errors.Is(err, fail) || f != nil {
-		t.Fatalf("creating Append with a failing directory sync = %v, %v; want nil, %v", f, err, fail)
+		t.Fatalf("Append with a failing directory sync = %v, %v; want nil, %v", f, err, fail)
 	}
-	expect("the failing syncs", 4)
+	expect("the failing syncs", 5)
 
 	if err := realSync(dir); err != nil {
 		t.Fatalf("directory fsync: %v", err)
