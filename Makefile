@@ -39,10 +39,12 @@ race:
 	$(GO) test -race ./serve
 
 # The durability suite on its own: the crash–recovery fault-injection
-# harness (1000+ randomized kill-point schedules) under -race, plus the
-# deterministic checkpoint/WAL/recovery tests.
+# harness under -race — sync writers (1000+ randomized kill-point
+# schedules), async writers whose futures are still outstanding while
+# checkpoints rotate the WAL (1000 more), and point stores — plus the
+# deterministic checkpoint/checkpointer/WAL/recovery tests.
 crash:
-	$(GO) test -race -count=1 -run 'TestCrashRecoverySchedules|TestPointCrashRecoverySchedules|TestDurable|TestLadderHydrate' ./serve
+	$(GO) test -race -count=1 -run 'TestCrashRecoverySchedules|TestAsyncCrashRecoverySchedules|TestPointCrashRecoverySchedules|TestDurable|TestLadderHydrate' ./serve
 
 # The self-healing suite (PR 8): 1100+ randomized kill-point schedules
 # crashing mid-compaction and mid-scrub with bit-flip media corruption

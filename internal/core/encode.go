@@ -68,8 +68,13 @@ type recMeta struct {
 // encoded nodes reachable (and their pointers stable) for the lifetime
 // of the chain, so a node's address identifies it even after every
 // tree that held it is released.
+//
+// A set made by Fork extends a base set without changing it: the
+// records it assigns go into its own map, and lookups that miss that
+// map fall through to the base.
 type RecordSet[K, V, A any] struct {
 	ids  map[*node[K, V, A]]recMeta
+	base *RecordSet[K, V, A] // nil unless the set is an uncommitted fork
 	next uint64
 }
 
@@ -82,20 +87,56 @@ func NewRecordSet[K, V, A any]() *RecordSet[K, V, A] {
 // NextID returns the id the next new record will be assigned.
 func (rs *RecordSet[K, V, A]) NextID() uint64 { return rs.next }
 
-// Clone returns an independent copy. The checkpoint protocol encodes
-// against a clone and commits it only once the checkpoint file is
-// durably published, so a failed write never burns record ids the
-// on-disk chain has not seen.
-func (rs *RecordSet[K, V, A]) Clone() *RecordSet[K, V, A] {
-	ids := make(map[*node[K, V, A]]recMeta, len(rs.ids))
-	for n, m := range rs.ids {
-		ids[n] = m
+// Len returns the number of records assigned so far, the base's
+// included.
+func (rs *RecordSet[K, V, A]) Len() int {
+	n := 0
+	for s := rs; s != nil; s = s.base {
+		n += len(s.ids)
 	}
-	return &RecordSet[K, V, A]{ids: ids, next: rs.next}
+	return n
 }
 
-// Len returns the number of records assigned so far.
-func (rs *RecordSet[K, V, A]) Len() int { return len(rs.ids) }
+// lookup returns the id and digest n was assigned, in rs or its base.
+func (rs *RecordSet[K, V, A]) lookup(n *node[K, V, A]) (recMeta, bool) {
+	for s := rs; s != nil; s = s.base {
+		if m, ok := s.ids[n]; ok {
+			return m, true
+		}
+	}
+	return recMeta{}, false
+}
+
+// Fork returns a set that continues rs in O(1): records encoded against
+// the fork get ids from rs.NextID() on, and rs itself is left as it was
+// (its NextID, Len and digests do not change). The checkpoint protocol
+// encodes against a fork and commits it only once the checkpoint file
+// is durably published, so a failed write never burns record ids the
+// on-disk chain has not seen; an abandoned fork is simply dropped.
+func (rs *RecordSet[K, V, A]) Fork() *RecordSet[K, V, A] {
+	return &RecordSet[K, V, A]{ids: make(map[*node[K, V, A]]recMeta), base: rs, next: rs.next}
+}
+
+// Commit makes a fork stand alone by folding the smaller of its map and
+// its base's into the larger, so committing a delta of k records onto a
+// set of n costs O(min(k, n)). The fork then holds every record of the
+// base; the base is consumed and must not be used again. Commit on a
+// set that is not a fork does nothing.
+func (rs *RecordSet[K, V, A]) Commit() {
+	b := rs.base
+	if b == nil {
+		return
+	}
+	small, large := rs.ids, b.ids
+	if len(small) > len(large) {
+		small, large = large, small
+	}
+	for n, m := range small {
+		large[n] = m
+	}
+	rs.ids, rs.base = large, b.base
+	b.ids, b.base = nil, nil
+}
 
 // RootDigest returns the Merkle digest of t's root record, which is in
 // rs once t has been encoded against it (an empty tree has the zero
@@ -105,7 +146,7 @@ func RootDigest[K, V, A any, T Traits[K, V, A]](t Tree[K, V, A, T], rs *RecordSe
 	if t.root == nil {
 		return Digest{}, true
 	}
-	m, ok := rs.ids[t.root]
+	m, ok := rs.lookup(t.root)
 	return m.sum, ok
 }
 
@@ -175,7 +216,7 @@ func EncodeDelta[K, V, A any, T Traits[K, V, A]](t Tree[K, V, A, T], rs *RecordS
 		if n == nil {
 			return recMeta{}
 		}
-		if m, ok := rs.ids[n]; ok {
+		if m, ok := rs.lookup(n); ok {
 			return m
 		}
 		var sum Digest

@@ -207,3 +207,128 @@ func TestDecodeCorrupt(t *testing.T) {
 	dup := append(append([]byte(nil), buf[:40]...), buf...)
 	check("dup", dup)
 }
+
+// forkChain is a sequence of trees each derived from the one before, so
+// consecutive checkpoints share structure the way a live store's do.
+// Step 3 inserts more entries than its predecessor holds, so committing
+// its delta folds the base into the fork rather than the other way.
+func forkChain() []Tree[int, int64, int64, sumTraits] {
+	tr := New[int, int64, int64, sumTraits](Config{Block: 4})
+	var out []Tree[int, int64, int64, sumTraits]
+	for i := 0; i < 300; i++ {
+		tr = tr.Insert(i*2, int64(i))
+	}
+	out = append(out, tr)
+	out = append(out, tr.Insert(7, 7).Delete(40).Insert(1001, 3))
+	out = append(out, out[1].Delete(0).Delete(2).Insert(5, -5))
+	big := out[2]
+	for i := 0; i < 2000; i++ {
+		big = big.Insert(10000+i, int64(i))
+	}
+	out = append(out, big)
+	out = append(out, big.Delete(10500).Insert(-1, 1))
+	return out
+}
+
+// TestRecordSetForkUncommitted pins that a fork never committed leaves
+// its base as it was: NextID, Len, and the digests and ids of every
+// record the base already held.
+func TestRecordSetForkUncommitted(t *testing.T) {
+	trees := forkChain()
+	rs := NewRecordSet[int, int64, int64]()
+	EncodeDelta(trees[0], rs, testCodec(), nil)
+	next, n := rs.NextID(), rs.Len()
+	sum0, ok := RootDigest(trees[0], rs)
+	if !ok {
+		t.Fatal("base lost the root it just encoded")
+	}
+	ids := make(map[*node[int, int64, int64]]recMeta, len(rs.ids))
+	for k, m := range rs.ids {
+		ids[k] = m
+	}
+
+	fork := rs.Fork()
+	_, _, wrote := EncodeDelta(trees[1], fork, testCodec(), nil)
+	if wrote == 0 || fork.NextID() != next+uint64(wrote) || fork.Len() != n+wrote {
+		t.Fatalf("fork wrote %d records: NextID %d Len %d, want %d and %d", wrote, fork.NextID(), fork.Len(), next+uint64(wrote), n+wrote)
+	}
+	if rs.NextID() != next || rs.Len() != n {
+		t.Fatalf("uncommitted fork moved its base: NextID %d Len %d, want %d and %d", rs.NextID(), rs.Len(), next, n)
+	}
+	if got, ok := RootDigest(trees[0], rs); !ok || got != sum0 {
+		t.Fatal("uncommitted fork changed the base's root digest")
+	}
+	if _, ok := RootDigest(trees[1], rs); ok {
+		t.Fatal("base knows a root only its uncommitted fork encoded")
+	}
+	if len(rs.ids) != len(ids) {
+		t.Fatalf("base map grew from %d to %d entries", len(ids), len(rs.ids))
+	}
+	for k, m := range ids {
+		if rs.ids[k] != m {
+			t.Fatalf("base record %d changed under an uncommitted fork", m.id)
+		}
+	}
+}
+
+// TestRecordSetForkCommitMatchesDirect pins that encoding each tree
+// against a fork and committing it gives the same bytes, ids, digests,
+// NextID and Len as encoding the whole sequence against one set — what
+// the old clone-and-swap protocol produced. An abandoned fork between
+// the steps, a failed checkpoint, must not perturb anything.
+func TestRecordSetForkCommitMatchesDirect(t *testing.T) {
+	direct := NewRecordSet[int, int64, int64]()
+	chain := NewRecordSet[int, int64, int64]()
+	for i, tr := range forkChain() {
+		abandoned := chain.Fork()
+		EncodeDelta(tr.Insert(-100, 1), abandoned, testCodec(), nil)
+
+		wantBuf, wantRoot, wantWrote := EncodeDelta(tr, direct, testCodec(), nil)
+		wantSum, _ := RootDigest(tr, direct)
+
+		fork := chain.Fork()
+		buf, root, wrote := EncodeDelta(tr, fork, testCodec(), nil)
+		sum, ok := RootDigest(tr, fork)
+		if !ok || sum != wantSum {
+			t.Fatalf("step %d: fork root digest differs from the direct encode", i)
+		}
+		fork.Commit()
+		chain = fork
+		if string(buf) != string(wantBuf) || root != wantRoot || wrote != wantWrote {
+			t.Fatalf("step %d: fork wrote %d records (root %d), direct %d (root %d), bytes equal %v",
+				i, wrote, root, wantWrote, wantRoot, string(buf) == string(wantBuf))
+		}
+		if chain.base != nil {
+			t.Fatalf("step %d: committed fork still has a base", i)
+		}
+		if chain.NextID() != direct.NextID() || chain.Len() != direct.Len() {
+			t.Fatalf("step %d: committed NextID/Len %d/%d, direct %d/%d",
+				i, chain.NextID(), chain.Len(), direct.NextID(), direct.Len())
+		}
+		for k, m := range direct.ids {
+			if got, ok := chain.lookup(k); !ok || got != m {
+				t.Fatalf("step %d: record %d missing or different after commit", i, m.id)
+			}
+		}
+	}
+}
+
+// TestRecordSetForkAllocs pins that a fork costs O(1) whatever the size
+// of its base: forking a set of over 100k records allocates the same
+// small constant as forking an empty one.
+func TestRecordSetForkAllocs(t *testing.T) {
+	items := make([]Entry[int, int64], 150_000)
+	for i := range items {
+		items[i] = Entry[int, int64]{Key: i, Val: int64(i)}
+	}
+	tr := New[int, int64, int64, sumTraits](Config{Block: 2}).BuildSorted(items)
+	rs := NewRecordSet[int, int64, int64]()
+	EncodeDelta(tr, rs, testCodec(), nil)
+	if rs.Len() < 100_000 {
+		t.Fatalf("set holds %d records, want at least 100k", rs.Len())
+	}
+	var fork *RecordSet[int, int64, int64]
+	if allocs := testing.AllocsPerRun(100, func() { fork = rs.Fork() }); allocs > 2 || fork.Len() != rs.Len() {
+		t.Fatalf("Fork of a %d-record set made %.0f allocations, want at most 2", rs.Len(), allocs)
+	}
+}

@@ -20,6 +20,9 @@ type Codec[K, V any] = core.Codec[K, V]
 
 // RecordSet tracks which nodes already have on-disk records across a
 // chain of incremental checkpoints (it keeps those nodes reachable).
+// Fork starts a tentative extension in O(1) and Commit adopts it in
+// O(delta), so a checkpoint that fails to publish leaves the set as
+// it was.
 type RecordSet[K, V, A any] = core.RecordSet[K, V, A]
 
 // Digest is a record's Merkle content hash (sha256); equal subtrees

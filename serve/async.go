@@ -230,11 +230,13 @@ func (f *Future) TryAck() (Ack, bool) {
 }
 
 // futureQueue is the unbounded FIFO feeding the resolver goroutine.
-// Unbounded on purpose: producers push while holding the sequencer
-// lock, so a bounded queue would let the resolver (which may take the
-// sequencer lock during a durable auto-checkpoint) deadlock against a
-// blocked producer. Occupancy is in practice bounded by the per-shard
-// admission budgets.
+// Producers push while holding the sequencer lock. The resolver never
+// takes that lock — automatic checkpoints, which do, run on the durable
+// store's checkpointer goroutine — so a bounded queue would not
+// deadlock it; the queue is unbounded only because nothing yet bounds
+// it. The per-shard admission budgets bound batches waiting to be
+// applied, but not applied batches waiting for a WAL fsync, so a
+// stalled fsync grows the queue without limit.
 type futureQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

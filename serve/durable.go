@@ -122,20 +122,27 @@ type DurableConfig struct {
 	// OSFS{Dir: ...} for a real directory, MemFS for fault injection.
 	FS FS
 	// CheckpointEvery, when positive, takes an automatic checkpoint
-	// after every that-many acknowledged batches. A failed automatic
-	// checkpoint does not fail the Apply that triggered it (the batch
-	// is already durable); the error is surfaced by Err.
+	// after every that-many acknowledged batches. Automatic checkpoints
+	// run on a checkpointer goroutine of their own, so writes keep
+	// resolving while one is encoded and written; a request made while
+	// one is already pending merges into it, so at most one is pending
+	// and one running. A failed automatic checkpoint does not fail any
+	// write (the batches are already durable in the WAL); the error is
+	// surfaced by Err.
 	CheckpointEvery int
 	// CompactEvery, when positive, compacts the chain (rewrites the
 	// live state as a fresh base checkpoint and drops the superseded
 	// tail) after every that-many automatic checkpoints since the last
-	// base. It bounds both the chain length and recovery time.
+	// base. The compaction runs on the checkpointer goroutine, right
+	// after the automatic checkpoint that makes it due. It bounds both
+	// the chain length and recovery time.
 	CompactEvery int
-	// CompactDeadRatio, when in (0, 1], compacts after an automatic
-	// checkpoint whenever the fraction of on-disk records no live tree
-	// references exceeds it — space-driven compaction, complementary to
-	// the count-driven CompactEvery. Enabling it adds an O(live-records)
-	// walk to each automatic checkpoint.
+	// CompactDeadRatio, when in (0, 1], compacts (on the checkpointer
+	// goroutine) after an automatic checkpoint whenever the fraction of
+	// on-disk records no live tree references exceeds it — space-driven
+	// compaction, complementary to the count-driven CompactEvery.
+	// Enabling it adds an O(live-records) walk to each automatic
+	// checkpoint.
 	CompactDeadRatio float64
 	// KeepGenerations is how many WAL generations at or below the newest
 	// checkpoint are retained (minimum and default 1) instead of being
@@ -246,9 +253,10 @@ type chainDecoder[T any] interface {
 }
 
 // durable is the durability engine both durable stores embed: the FS,
-// WAL, checkpoint lock and policy, scrubber, sticky background error,
-// and recovery report of one store, over the flavour's op type O and
-// shard-state type T. All its methods are safe for concurrent use.
+// WAL, checkpoint lock and policy, checkpointer, scrubber, sticky
+// background error, and recovery report of one store, over the
+// flavour's op type O and shard-state type T. All its methods are safe
+// for concurrent use.
 type durable[O, T any] struct {
 	fs  FS
 	w   *wal[O]
@@ -260,6 +268,7 @@ type durable[O, T any] struct {
 
 	every     uint64
 	batches   atomic.Uint64
+	ckpt      *checkpointer // nil unless every > 0
 	compEvery int
 	deadRatio float64
 	keep      int
@@ -694,9 +703,13 @@ func (d *durable[O, T]) hooks() hooks[O] {
 }
 
 // start binds the core to the engine its store built and starts the
-// background scrubber (DurableConfig.ScrubEvery).
+// checkpointer (DurableConfig.CheckpointEvery) and the background
+// scrubber (DurableConfig.ScrubEvery).
 func (d *durable[O, T]) start(eng *engine[O, T], cfg DurableConfig) *durable[O, T] {
 	d.eng = eng
+	if d.every > 0 {
+		d.ckpt = startCheckpointer(d.autoCheckpoint)
+	}
 	if cfg.ScrubEvery > 0 {
 		d.scrub = startScrubber(cfg.ScrubEvery, cfg.ScrubBytesPerSec, scrubHooks{
 			epoch:  d.epoch.Load,
@@ -712,26 +725,90 @@ func (d *durable[O, T]) start(eng *engine[O, T], cfg DurableConfig) *durable[O, 
 func (d *durable[O, T]) Recovery() RecoveryStats { return d.recovery }
 
 // commitSeq is the resolver-side durability step: fsync the WAL through
-// seq (instant when a group commit already covered it), take the
-// periodic automatic checkpoint, and apply the compaction policy.
+// seq (instant when a group commit already covered it) and, on every
+// CheckpointEvery-th batch, signal the checkpointer. The signal never
+// blocks, so no future waits on a checkpoint.
 func (d *durable[O, T]) commitSeq(seq uint64) error {
 	if err := d.w.Sync(seq); err != nil {
 		return err
 	}
-	if d.every > 0 && d.batches.Add(1)%d.every == 0 {
-		// ErrClosed means the engine is shutting down under the resolver
-		// while it drains the final futures; the batches are already
-		// durable, so a skipped periodic checkpoint is not an error.
-		cs, err := d.Checkpoint()
-		switch {
-		case errors.Is(err, ErrClosed):
-		case err != nil:
-			d.setErr(err)
-		default:
-			d.maybeCompact(cs)
-		}
+	if d.ckpt != nil && d.batches.Add(1)%d.every == 0 {
+		d.ckpt.signal()
 	}
 	return nil
+}
+
+// autoCheckpoint is one run of the checkpointer: the periodic automatic
+// checkpoint, then the compaction policy. Failures go to Err.
+func (d *durable[O, T]) autoCheckpoint() {
+	// ErrClosed means Close began before this run took its cut; the
+	// batches are already durable in the WAL, so a skipped periodic
+	// checkpoint is not an error.
+	cs, err := d.Checkpoint()
+	switch {
+	case errors.Is(err, ErrClosed):
+	case err != nil:
+		d.setErr(err)
+	default:
+		d.maybeCompact(cs)
+	}
+}
+
+// checkpointer runs a store's automatic checkpoints on one goroutine,
+// off the resolver. Its signal channel has one slot, so signals sent
+// while a checkpoint is pending merge into it: at most one checkpoint
+// is pending while another runs.
+type checkpointer struct {
+	sig  chan struct{}
+	stop chan struct{}
+	done chan struct{}
+	once sync.Once
+	// signalled counts signals neither run nor dropped yet, so a caller
+	// can wait until every requested checkpoint has run.
+	signalled sync.WaitGroup
+}
+
+// startCheckpointer launches the goroutine, which calls run once per
+// signal until Stop.
+func startCheckpointer(run func()) *checkpointer {
+	c := &checkpointer{sig: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(c.done)
+		for {
+			select {
+			case <-c.stop:
+				return
+			case <-c.sig:
+			}
+			run()
+			c.signalled.Done()
+		}
+	}()
+	return c
+}
+
+// signal requests one run without blocking.
+func (c *checkpointer) signal() {
+	c.signalled.Add(1)
+	select {
+	case c.sig <- struct{}{}:
+	default:
+		c.signalled.Done() // merged into the pending signal
+	}
+}
+
+// Stop waits for the run in flight, if any, then drops a pending
+// signal; safe to call more than once. The caller closes the engine
+// first: that stops the resolver, which sends the signals, and makes
+// any run that has not yet taken its cut return ErrClosed.
+func (c *checkpointer) Stop() {
+	c.once.Do(func() { close(c.stop) })
+	<-c.done
+	select {
+	case <-c.sig:
+		c.signalled.Done()
+	default:
+	}
 }
 
 // maybeCompact applies the automatic compaction policy after a
@@ -807,14 +884,14 @@ func (f *mapFormat[K, V, A, E]) header(data []byte) (uint64, bool, bool) {
 }
 
 func (f *mapFormat[K, V, A, E]) encode(states []pam.AugMap[K, V, A, E], seq uint64, fresh bool) ([]byte, CheckpointStats, func()) {
-	// Encode against a clone of the chain's record set — or, for a
-	// compaction, a fresh one, making the encode a full rewrite of the
+	// Encode against an O(1) fork of the chain's record set — or, for a
+	// compaction, a fresh set, making the encode a full rewrite of the
 	// live records (firstID 1 marks the file as a base). Ids are
 	// committed only with the file, so a failed attempt never burns ids
 	// the on-disk chain hasn't seen.
 	rs := pam.NewRecordSet[K, V, A]()
 	if !fresh {
-		rs = f.rs.Clone()
+		rs = f.rs.Fork()
 	}
 	base := rs.NextID() == 1
 	file, wrote, digest := encodeStoreCheckpoint(states, rs, f.codec, seq)
@@ -826,7 +903,10 @@ func (f *mapFormat[K, V, A, E]) encode(states []pam.AugMap[K, V, A, E], seq uint
 			cs.LiveRecords += m.RecordCount()
 		}
 	}
-	return file, cs, func() { f.rs = rs }
+	return file, cs, func() {
+		rs.Commit()
+		f.rs = rs
+	}
 }
 
 func (f *mapFormat[K, V, A, E]) decode() chainDecoder[pam.AugMap[K, V, A, E]] {
@@ -1063,7 +1143,8 @@ func (d *durable[O, T]) ScrubStats() ScrubStats {
 
 // Err returns the first background error — from an automatic
 // (CheckpointEvery) checkpoint, an automatic compaction, or the
-// scrubber — which cannot be reported by the Apply that triggered it.
+// scrubber — which no write can report: the batches were durable in the
+// WAL before the checkpointer or the scrubber ran. The error is sticky.
 func (d *durable[O, T]) Err() error {
 	d.errMu.Lock()
 	defer d.errMu.Unlock()
@@ -1079,17 +1160,22 @@ func (d *durable[O, T]) setErr(err error) {
 }
 
 // close stops the scrubber, then the store (closeStore: its shard
-// goroutines, whose in-flight futures resolve durably committed), and
-// flushes the WAL.
+// goroutines, whose in-flight futures resolve durably committed), then
+// the checkpointer — waiting for a checkpoint in flight and dropping a
+// pending signal, whose batches the WAL already holds — and flushes the
+// WAL.
 func (d *durable[O, T]) close(closeStore func()) error {
 	if d.scrub != nil {
 		d.scrub.Stop()
 	}
 	closeStore()
+	if d.ckpt != nil {
+		d.ckpt.Stop()
+	}
 	return d.w.Close()
 }
 
-// Close stops the scrubber and the shard goroutines and flushes the
-// WAL. In-flight futures resolve (durably committed) before Close
-// returns; subsequent writes return ErrClosed.
+// Close stops the scrubber, the shard goroutines and the checkpointer
+// and flushes the WAL. In-flight futures resolve (durably committed)
+// before Close returns; subsequent writes return ErrClosed.
 func (d *DurableStore[K, V, A, E]) Close() error { return d.close(d.hashStore.Close) }

@@ -116,6 +116,7 @@ func TestDurableStoreAutoCheckpoint(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
+	d.settleCheckpoints()
 	if err := d.Err(); err != nil {
 		t.Fatalf("automatic checkpoint failed: %v", err)
 	}
@@ -139,8 +140,8 @@ func TestDurableStoreAutoCheckpoint(t *testing.T) {
 }
 
 // TestDurableAutoCheckpointCompact covers CheckpointEvery and Compact on
-// both flavours: automatic checkpoints fire on the resolver without a
-// background error, Compact leaves exactly one checkpoint file and no
+// both flavours: automatic checkpoints fire on the checkpointer without
+// a background error, Compact leaves exactly one checkpoint file and no
 // WAL generation below it, and a reopen recovers the oracle from that
 // single base plus the WAL tail.
 func TestDurableAutoCheckpointCompact(t *testing.T) {
@@ -161,6 +162,7 @@ func TestDurableAutoCheckpointCompact(t *testing.T) {
 			for i := uint64(0); i < 30; i++ {
 				put(i)
 			}
+			d.settleCheckpoints()
 			if err := d.Err(); err != nil {
 				t.Fatalf("automatic checkpoint failed: %v", err)
 			}

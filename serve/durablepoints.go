@@ -358,7 +358,8 @@ func OpenDurablePointStore(opts pam.Options, splits []float64, cfg DurableConfig
 // never changes.
 func (d *DurablePointStore) Rebalance() (bool, error) { return false, d.pointStore.eng.closedErr() }
 
-// Close stops the scrubber, the shard goroutines, and the carry
-// workers, and flushes the WAL. In-flight futures resolve (durably
-// committed) before Close returns; subsequent writes return ErrClosed.
+// Close stops the scrubber, the shard goroutines, the carry workers,
+// and the checkpointer, and flushes the WAL. In-flight futures resolve
+// (durably committed) before Close returns; subsequent writes return
+// ErrClosed.
 func (d *DurablePointStore) Close() error { return d.close(d.pointStore.Close) }

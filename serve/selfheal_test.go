@@ -41,6 +41,7 @@ type durableLifecycle interface {
 	Recovery() RecoveryStats
 	Rebalance() (bool, error)
 	Close() error
+	settleCheckpoints()
 }
 
 // durableHandle is one open durable store as the flavour-agnostic

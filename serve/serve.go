@@ -53,6 +53,9 @@
 //	    batch sequenced ahead of it. On durable stores the resolver
 //	    first waits for the WAL group-commit fsync covering the batch,
 //	    so a resolved future is a durability guarantee (see Ack.Err).
+//	    That fsync is all it waits for: an automatic checkpoint
+//	    (DurableConfig.CheckpointEvery) runs on the store's checkpointer
+//	    goroutine, which the resolver only signals.
 //
 // The sync Apply is the async pipeline plus Future.Wait.
 //
@@ -206,9 +209,10 @@ type hooks[O any] struct {
 	logAppend func(seq uint64, ops []O)
 	// commit, when non-nil, is called by the resolver — in sequence
 	// order, after the batch is applied — before its future resolves.
-	// The durable stores make it the WAL group-commit fsync (plus the
-	// periodic auto-checkpoint), so async acks imply durability. Its
-	// error becomes Ack.Err.
+	// The durable stores make it the WAL group-commit fsync, so async
+	// acks imply durability, plus a non-blocking signal to the
+	// checkpointer goroutine that takes the periodic automatic
+	// checkpoint. Its error becomes Ack.Err.
 	commit func(seq uint64) error
 }
 
@@ -584,9 +588,10 @@ func (e *engine[O, T]) snapshot() (states []T, versions []uint64, seq uint64, ro
 // the markers are pushed: whatever pre does (the checkpoint protocol
 // rotates the WAL generation) happens at exactly the snapshot's
 // sequence point. Returns ok == false instead of snapshotting when the
-// engine is closed — internal callers (the auto-checkpoint on the
-// resolver, the auto-rebalance policy) race Close legitimately and must
-// stand down rather than panic.
+// engine is closed — internal callers (the checkpoint protocol, whose
+// caller may be the checkpointer goroutine or the scrubber's repair,
+// and the auto-rebalance policy) race Close legitimately and must stand
+// down rather than panic.
 func (e *engine[O, T]) trySnapshotWith(pre func()) (states []T, versions []uint64, seq uint64, route func(O) int, ok bool) {
 	n := len(e.shards)
 	ch := make(chan shardState[T], n)
