@@ -150,25 +150,6 @@ func RootDigest[K, V, A any, T Traits[K, V, A]](t Tree[K, V, A, T], rs *RecordSe
 	return m.sum, ok
 }
 
-// RecordCount returns the number of records a from-scratch encode of t
-// would emit — the count of physical nodes (leaf blocks plus interior
-// nodes). The compaction dead-ratio policy compares it against the
-// record count of the on-disk chain to estimate how many chain records
-// no live tree references anymore.
-func RecordCount[K, V, A any, T Traits[K, V, A]](t Tree[K, V, A, T]) int {
-	var walk func(n *node[K, V, A]) int
-	walk = func(n *node[K, V, A]) int {
-		if n == nil {
-			return 0
-		}
-		if isLeaf(n) {
-			return 1
-		}
-		return 1 + walk(n.left) + walk(n.right)
-	}
-	return walk(t.root)
-}
-
 // leafDigest hashes one leaf record: exactly its encoded bytes (tag,
 // count, entries), which contain no chain-position-dependent ids.
 func leafDigest(encoded []byte) Digest { return sha256.Sum256(encoded) }

@@ -51,13 +51,6 @@ func (m AugMap[K, V, A, E]) RootDigest(rs *RecordSet[K, V, A]) (Digest, bool) {
 	return core.RootDigest(m.t, rs)
 }
 
-// RecordCount returns the number of records a from-scratch encode of m
-// would emit (leaf blocks plus interior nodes) — the live-record count
-// the compaction dead-ratio policy compares against the on-disk chain.
-func (m AugMap[K, V, A, E]) RecordCount() int {
-	return core.RecordCount(m.t)
-}
-
 // DecodeTable accumulates decoded records across the files of an
 // incremental checkpoint chain; maps taken from it share decoded nodes
 // exactly as the encoded maps shared them.

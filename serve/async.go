@@ -54,8 +54,8 @@ const (
 )
 
 // Tuning configures the write pipeline: the admission budgets, the
-// flush size cap, automatic rebalancing, and background carries. Any
-// field left zero takes the default documented on it.
+// flush size cap, and background carries. Any field left zero takes
+// the default documented on it.
 type Tuning struct {
 	// MailboxDepth bounds the queued-but-unapplied sub-batches per
 	// shard. A batch whose target shard already has MailboxDepth
@@ -74,13 +74,6 @@ type Tuning struct {
 	// count, then flushes. It never waits for more work to arrive.
 	// Default 4096.
 	FlushOps int
-	// AutoRebalance, when non-nil, starts a policy goroutine that
-	// calls Rebalance automatically on sustained shard-size or
-	// flush-latency skew. Only meaningful for range-partitioned
-	// Store/PointStore (hash stores and the durable stores, whose
-	// routing is part of the on-disk schema, ignore it). Default nil:
-	// rebalance stays explicit.
-	AutoRebalance *AutoRebalance
 	// CarryWorkers, when > 0, moves ladder carry cascades off the
 	// shard goroutines (PointStore and DurablePointStore only): a pool
 	// of that many workers merges spilled write-buffer runs into the
@@ -114,45 +107,6 @@ func (t Tuning) withDefaults() Tuning {
 		t.MaxPendingCarries = 4
 	}
 	return t
-}
-
-// AutoRebalance is the automatic rebalance policy: every CheckEvery it
-// samples shard sizes and flush-latency EWMAs, and after Sustain
-// consecutive skewed samples it triggers one Rebalance.
-type AutoRebalance struct {
-	// CheckEvery is the sampling period. Default 100ms.
-	CheckEvery time.Duration
-	// SizeSkew fires when max shard size > SizeSkew * mean shard size
-	// (must exceed 1; default 2). Sampling takes a snapshot, so it
-	// costs one marker round per check.
-	SizeSkew float64
-	// LatencySkew, when > 1, fires when the largest per-shard flush
-	// latency EWMA exceeds LatencySkew * the mean EWMA and every shard
-	// has reported at least one flush. Zero disables the latency
-	// trigger.
-	LatencySkew float64
-	// Sustain is how many consecutive skewed samples arm the trigger
-	// (debounce). Default 2.
-	Sustain int
-	// MinSize suppresses the size trigger below this total store size,
-	// where skew is noise. Default 128.
-	MinSize int64
-}
-
-func (ar AutoRebalance) withDefaults() AutoRebalance {
-	if ar.CheckEvery <= 0 {
-		ar.CheckEvery = 100 * time.Millisecond
-	}
-	if ar.SizeSkew <= 1 {
-		ar.SizeSkew = 2
-	}
-	if ar.Sustain <= 0 {
-		ar.Sustain = 2
-	}
-	if ar.MinSize <= 0 {
-		ar.MinSize = 128
-	}
-	return ar
 }
 
 // Ack is the final result of one write batch: its position in the
@@ -297,79 +251,4 @@ type ShardStats struct {
 	// applied since the store opened.
 	AppliedBatches uint64
 	AppliedOps     uint64
-	// FlushLatency is an EWMA of enqueue-to-applied latency of the
-	// oldest sub-batch in each flush; zero until the first flush.
-	FlushLatency time.Duration
-}
-
-// startAutoRebalance runs the policy loop: sample skew every
-// CheckEvery, rebalance after Sustain consecutive skewed samples. The
-// loop must be stopped (close stop + wait wg) before the engine closes;
-// a rebalance error (ErrClosed racing shutdown) just ends the streak.
-func startAutoRebalance[O, T any](e *engine[O, T], ar AutoRebalance, size func(T) int64, rebalance func() (bool, error), stop <-chan struct{}, wg *sync.WaitGroup) {
-	ar = ar.withDefaults()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(ar.CheckEvery)
-		defer ticker.Stop()
-		streak := 0
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-			}
-			if e.skewed(ar, size) {
-				streak++
-			} else {
-				streak = 0
-			}
-			if streak >= ar.Sustain {
-				rebalance() //nolint:errcheck // ErrClosed here means shutdown is racing us
-				streak = 0
-			}
-		}
-	}()
-}
-
-// skewed samples the policy's two triggers.
-func (e *engine[O, T]) skewed(ar AutoRebalance, size func(T) int64) bool {
-	if len(e.shards) > 1 {
-		states, _, _, _, ok := e.trySnapshotWith(nil)
-		if !ok {
-			return false // racing Close; the policy is being stopped
-		}
-		var total, maxSz int64
-		for _, st := range states {
-			sz := size(st)
-			total += sz
-			if sz > maxSz {
-				maxSz = sz
-			}
-		}
-		if total >= ar.MinSize &&
-			float64(maxSz)*float64(len(states)) > ar.SizeSkew*float64(total) {
-			return true
-		}
-	}
-	if ar.LatencySkew > 1 && len(e.shards) > 1 {
-		var sum, maxL int64
-		n := 0
-		for _, s := range e.shards {
-			l := s.flushNanos.Load()
-			if l > 0 {
-				sum += l
-				n++
-				if l > maxL {
-					maxL = l
-				}
-			}
-		}
-		if n == len(e.shards) &&
-			float64(maxL)*float64(n) > ar.LatencySkew*float64(sum) {
-			return true
-		}
-	}
-	return false
 }

@@ -243,9 +243,9 @@ func seqKeys(lo, hi uint64) []uint64 {
 }
 
 // TestCloseGoroutineBaseline checks that Close tears down every
-// pipeline goroutine — shard loops, the resolver, and the auto-rebalance
-// policy ticker — by comparing the process goroutine count before and
-// after a burst of store lifecycles.
+// background goroutine — shard loops, the resolver, the carry pool, the
+// checkpointer and the scrubber — by comparing the process goroutine
+// count before and after a burst of store lifecycles.
 func TestCloseGoroutineBaseline(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
@@ -253,32 +253,42 @@ func TestCloseGoroutineBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewHashStore: %v", err)
 		}
-		r := NewRangeStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](pam.Options{}, []uint64{100, 200},
-			Tuning{AutoRebalance: &AutoRebalance{CheckEvery: time.Millisecond}})
+		r := NewRangeStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](pam.Options{}, []uint64{100, 200})
 		p := NewPointStore(pam.Options{}, []float64{0})
+		pc := NewPointStore(pam.Options{}, []float64{0}, Tuning{CarryWorkers: 2})
 		d, err := openDurSum(NewMemFS(), 2, 4)
 		if err != nil {
 			t.Fatalf("openDurSum: %v", err)
 		}
+		ds, err := openDurCfg(NewMemFS(), 2, DurableConfig{CheckpointEvery: 4, ScrubEvery: time.Millisecond})
+		if err != nil {
+			t.Fatalf("openDurCfg: %v", err)
+		}
+		dp, err := OpenDurablePointStore(pam.Options{}, []float64{0}, DurableConfig{FS: NewMemFS(), CheckpointEvery: 4})
+		if err != nil {
+			t.Fatalf("OpenDurablePointStore: %v", err)
+		}
 		var futs []*Future
 		for k := uint64(0); k < 32; k++ {
-			if f, err := h.PutAsync(k, 1); err == nil {
-				futs = append(futs, f)
+			for _, put := range []func(uint64, int64) (*Future, error){h.PutAsync, r.PutAsync, d.PutAsync, ds.PutAsync} {
+				if f, err := put(k, 1); err == nil {
+					futs = append(futs, f)
+				}
 			}
-			if f, err := r.PutAsync(k, 1); err == nil {
-				futs = append(futs, f)
-			}
-			if f, err := d.PutAsync(k, 1); err == nil {
-				futs = append(futs, f)
-			}
-			if f, err := p.InsertAsync(rangetree.Point{X: float64(k), Y: 1}, 1); err == nil {
-				futs = append(futs, f)
+			pt := rangetree.Point{X: float64(k), Y: 1}
+			for _, ins := range []func(rangetree.Point, int64) (*Future, error){p.InsertAsync, pc.InsertAsync, dp.InsertAsync} {
+				if f, err := ins(pt, 1); err == nil {
+					futs = append(futs, f)
+				}
 			}
 		}
 		h.Close()
 		r.Close()
 		p.Close()
+		pc.Close()
 		d.Close()
+		ds.Close()
+		dp.Close()
 		for _, f := range futs {
 			if _, ok := f.TryAck(); !ok {
 				t.Fatal("future enqueued before Close left unresolved")
@@ -442,94 +452,8 @@ func TestCloseDuringInflight(t *testing.T) {
 	}
 }
 
-// TestAutoRebalanceTrigger loads every key into shard 0 of a wildly
-// mis-split range store and waits for the background policy to notice
-// the sustained size skew and re-split: the whole point of the policy
-// is that no one calls Rebalance by hand.
-func TestAutoRebalanceTrigger(t *testing.T) {
-	s := newTunedRange(t, Tuning{
-		AutoRebalance: &AutoRebalance{
-			CheckEvery: time.Millisecond,
-			SizeSkew:   1.5,
-			Sustain:    2,
-			MinSize:    16,
-		},
-	}, 1000, 2000, 3000)
-	for k := uint64(0); k < 100; k++ { // all below the first split: shard 0 owns everything
-		if _, err := s.Put(k, int64(k)); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, _ := s.Snapshot()
-		maxSz, total := int64(0), int64(0)
-		for i := 0; i < v.NumShards(); i++ {
-			sz := v.Shard(i).Size()
-			total += sz
-			if sz > maxSz {
-				maxSz = sz
-			}
-		}
-		if total != 100 {
-			t.Fatalf("Size = %d, want 100", total)
-		}
-		// Rebalance splits 100 keys across 4 shards: max shard ends
-		// within one of 25, far under the 1.5x-mean trigger.
-		if maxSz*int64(v.NumShards()) <= int64(1.5*float64(total)) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("auto-rebalance never fired: max shard %d of %d total", maxSz, total)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestPointAutoRebalanceTrigger is the PointStore twin: the policy must
-// watch point-count skew through the same machinery.
-func TestPointAutoRebalanceTrigger(t *testing.T) {
-	s := NewPointStore(pam.Options{}, []float64{1000, 2000}, Tuning{
-		AutoRebalance: &AutoRebalance{
-			CheckEvery: time.Millisecond,
-			SizeSkew:   1.5,
-			Sustain:    2,
-			MinSize:    16,
-		},
-	})
-	t.Cleanup(s.Close)
-	for i := 0; i < 90; i++ {
-		if _, err := s.Insert(rangetree.Point{X: float64(i), Y: float64(i % 7)}, 1); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, _ := s.Snapshot()
-		maxSz, total := int64(0), int64(0)
-		for i := 0; i < v.NumShards(); i++ {
-			sz := v.Shard(i).Size()
-			total += sz
-			if sz > maxSz {
-				maxSz = sz
-			}
-		}
-		if total != 90 {
-			t.Fatalf("Size = %d, want 90", total)
-		}
-		if maxSz*int64(v.NumShards()) <= int64(1.5*float64(total)) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("auto-rebalance never fired: max shard %d of %d total", maxSz, total)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestStatsCounters sanity-checks the ShardStats sampling: applied
-// counts add up after quiescence, queue charges return to zero, and the
-// flush-latency EWMA is populated once a shard has flushed.
+// counts add up after quiescence, and queue charges return to zero.
 func TestStatsCounters(t *testing.T) {
 	s := newRange(t, 50)
 	var futs []*Future
@@ -558,9 +482,6 @@ func TestStatsCounters(t *testing.T) {
 			t.Fatalf("shard %d still charged after quiescence: %+v", i, st)
 		}
 		applied += st.AppliedOps
-		if st.AppliedOps > 0 && st.FlushLatency <= 0 {
-			t.Fatalf("shard %d flushed %d ops but FlushLatency = %v", i, st.AppliedOps, st.FlushLatency)
-		}
 	}
 	if applied != 100 {
 		t.Fatalf("AppliedOps sum = %d, want 100", applied)

@@ -137,13 +137,6 @@ type DurableConfig struct {
 	// after the automatic checkpoint that makes it due. It bounds both
 	// the chain length and recovery time.
 	CompactEvery int
-	// CompactDeadRatio, when in (0, 1], compacts (on the checkpointer
-	// goroutine) after an automatic checkpoint whenever the fraction of
-	// on-disk records no live tree references exceeds it — space-driven
-	// compaction, complementary to the count-driven CompactEvery.
-	// Enabling it adds an O(live-records) walk to each automatic
-	// checkpoint.
-	CompactDeadRatio float64
 	// KeepGenerations is how many WAL generations at or below the newest
 	// checkpoint are retained (minimum and default 1) instead of being
 	// dropped as superseded. The retained generations let recovery fall
@@ -161,9 +154,7 @@ type DurableConfig struct {
 	// approximately that verification bandwidth.
 	ScrubBytesPerSec int
 	// Tuning configures the async write pipeline of the underlying
-	// store (mailbox bounds, backpressure, flush triggers).
-	// Tuning.AutoRebalance is ignored: a durable store's routing is
-	// part of its on-disk schema and never changes.
+	// store (mailbox bounds, backpressure, flush size, carries).
 	Tuning Tuning
 }
 
@@ -195,11 +186,6 @@ type CheckpointStats struct {
 	// ChainRecords is the total record count of the on-disk chain after
 	// this checkpoint — what recovery will decode.
 	ChainRecords int
-	// LiveRecords is the number of records a from-scratch encode would
-	// write, i.e. the records still referenced by live trees. Computed
-	// only when it is needed (compactions, and checkpoints under a
-	// CompactDeadRatio policy); zero otherwise.
-	LiveRecords int
 }
 
 // RecoveryStats reports what OpenDurableStore (or OpenDurablePointStore)
@@ -270,7 +256,6 @@ type durable[O, T any] struct {
 	batches   atomic.Uint64
 	ckpt      *checkpointer // nil unless every > 0
 	compEvery int
-	deadRatio float64
 	keep      int
 
 	// epoch is bumped whenever the file set changes underneath a scrub
@@ -663,7 +648,6 @@ func openDurable[O, T any](cfg DurableConfig, enc opCodec[O], cf ckptFormat[T], 
 		ckptsSince: max(chain.files-1, 0),
 		every:      uint64(cfg.CheckpointEvery),
 		compEvery:  cfg.CompactEvery,
-		deadRatio:  cfg.CompactDeadRatio,
 		keep:       keep,
 		recovery:   rec,
 	}
@@ -685,7 +669,7 @@ func OpenDurableStore[K, V, A any, E pam.Aug[K, V, A]](opts pam.Options, shards 
 	}
 	n := uint64(shards)
 	route := func(o Op[K, V]) int { return int(hash(o.Key) % n) }
-	cf := &mapFormat[K, V, A, E]{opts: opts, codec: codec, shards: shards, live: cfg.CompactDeadRatio > 0}
+	cf := &mapFormat[K, V, A, E]{opts: opts, codec: codec, shards: shards}
 	d, states, next, err := openDurable(cfg, storeOpCodec(codec), cf, route, applyOps[K, V, A, E])
 	if err != nil {
 		return nil, err
@@ -744,13 +728,13 @@ func (d *durable[O, T]) autoCheckpoint() {
 	// ErrClosed means Close began before this run took its cut; the
 	// batches are already durable in the WAL, so a skipped periodic
 	// checkpoint is not an error.
-	cs, err := d.Checkpoint()
+	_, err := d.Checkpoint()
 	switch {
 	case errors.Is(err, ErrClosed):
 	case err != nil:
 		d.setErr(err)
 	default:
-		d.maybeCompact(cs)
+		d.maybeCompact()
 	}
 }
 
@@ -811,20 +795,14 @@ func (c *checkpointer) Stop() {
 	}
 }
 
-// maybeCompact applies the automatic compaction policy after a
-// successful automatic checkpoint. A base resets the count and has no
-// dead records, so formats whose every file is a base (point stores)
-// never compact automatically.
-func (d *durable[O, T]) maybeCompact(cs CheckpointStats) {
+// maybeCompact applies CompactEvery after a successful automatic
+// checkpoint. A base resets the count, so formats whose every file is a
+// base (point stores) never compact automatically.
+func (d *durable[O, T]) maybeCompact() {
 	d.ckptMu.Lock()
 	since := d.ckptsSince
 	d.ckptMu.Unlock()
-	due := d.compEvery > 0 && since >= d.compEvery
-	if !due && d.deadRatio > 0 && cs.ChainRecords > 0 && !cs.Base {
-		dead := 1 - float64(cs.LiveRecords)/float64(cs.ChainRecords)
-		due = dead >= d.deadRatio
-	}
-	if !due {
+	if d.compEvery <= 0 || since < d.compEvery {
 		return
 	}
 	if _, err := d.Compact(); err != nil && !errors.Is(err, ErrClosed) {
@@ -870,7 +848,6 @@ type mapFormat[K, V, A any, E pam.Aug[K, V, A]] struct {
 	opts   pam.Options // the tree schema, needed to decode chains
 	codec  *pam.Codec[K, V]
 	shards int
-	live   bool // count live records at every checkpoint (CompactDeadRatio)
 	rs     *pam.RecordSet[K, V, A]
 }
 
@@ -896,13 +873,6 @@ func (f *mapFormat[K, V, A, E]) encode(states []pam.AugMap[K, V, A, E], seq uint
 	base := rs.NextID() == 1
 	file, wrote, digest := encodeStoreCheckpoint(states, rs, f.codec, seq)
 	cs := CheckpointStats{Records: wrote, Digest: digest, Base: base, ChainRecords: rs.Len()}
-	if base {
-		cs.LiveRecords = wrote
-	} else if f.live {
-		for _, m := range states {
-			cs.LiveRecords += m.RecordCount()
-		}
-	}
 	return file, cs, func() {
 		rs.Commit()
 		f.rs = rs

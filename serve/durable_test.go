@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"errors"
 	"maps"
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/pam"
@@ -499,5 +501,77 @@ func TestLadderHydrateRoundTrip(t *testing.T) {
 	bad.BufDels = append(bad.BufDels, pam.KV[rangetree.Point, int64]{Key: rangetree.Point{X: -99, Y: -99}, Val: 1})
 	if _, err := tr.Rehydrate(bad); err == nil {
 		t.Fatal("Rehydrate accepted a tombstone for a point that was never live")
+	}
+}
+
+// walFaultFS wraps a MemFS, counts the files Append opened that are
+// still open, and fails every Write while failing is set.
+type walFaultFS struct {
+	*MemFS
+	failing atomic.Bool
+	open    atomic.Int64
+}
+
+var errWALWrite = errors.New("injected WAL write error")
+
+func (w *walFaultFS) Append(name string) (File, error) {
+	f, err := w.MemFS.Append(name)
+	if err != nil {
+		return nil, err
+	}
+	w.open.Add(1)
+	return &walFaultFile{File: f, fs: w}, nil
+}
+
+// walFaultFile is one handle Append opened.
+type walFaultFile struct {
+	File
+	fs     *walFaultFS
+	closed bool
+}
+
+func (f *walFaultFile) Write(p []byte) (int, error) {
+	if f.fs.failing.Load() {
+		return 0, errWALWrite
+	}
+	return f.File.Write(p)
+}
+
+func (f *walFaultFile) Close() error {
+	if !f.closed {
+		f.closed = true
+		f.fs.open.Add(-1)
+	}
+	return f.File.Close()
+}
+
+// TestDurableWALClosesAfterWriteError fails a WAL write and checks that
+// Close still closes the open generation file and returns the write
+// error: a store whose log failed must not keep a file open after Close.
+func TestDurableWALClosesAfterWriteError(t *testing.T) {
+	for _, fl := range durableFlavours {
+		t.Run(fl.name, func(t *testing.T) {
+			fs := &walFaultFS{MemFS: NewMemFS()}
+			d, err := fl.open(fs, 2, DurableConfig{})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			if _, err := d.put(1, 10); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+			if n := fs.open.Load(); n != 1 {
+				t.Fatalf("%d WAL files open after the first put, want 1", n)
+			}
+			fs.failing.Store(true)
+			if _, err := d.put(2, 20); !errors.Is(err, errWALWrite) {
+				t.Fatalf("put during failing writes = %v, want the injected error", err)
+			}
+			if err := d.Close(); !errors.Is(err, errWALWrite) {
+				t.Fatalf("Close = %v, want the injected error", err)
+			}
+			if n := fs.open.Load(); n != 0 {
+				t.Fatalf("%d WAL files still open after Close", n)
+			}
+		})
 	}
 }

@@ -25,8 +25,8 @@ type dynLevelState = dynamic.LevelState[rangetree.Point, int64]
 // standalone base: recovery decodes only the newest intact one
 // (quarantining corrupt ones and falling back to an older checkpoint
 // plus a longer WAL replay), a checkpoint drops the files it supersedes
-// minus the KeepGenerations fallback window, and the compaction
-// policies never fire (a base has nothing to compact).
+// minus the KeepGenerations fallback window, and CompactEvery never
+// fires (a base has nothing to compact).
 //
 // Checkpoint file format:
 //
@@ -284,7 +284,7 @@ func (pointFormat) encode(states []rangetree.Tree, seq uint64, _ bool) ([]byte, 
 	digest := sha256.Sum256(file)
 	file = append(file, digest[:]...)
 	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(file))
-	cs := CheckpointStats{Records: records, Digest: digest, Base: true, ChainRecords: records, LiveRecords: records}
+	cs := CheckpointStats{Records: records, Digest: digest, Base: true, ChainRecords: records}
 	return file, cs, func() {}
 }
 
@@ -340,9 +340,8 @@ type DurablePointStore struct {
 // A corrupt checkpoint is quarantined; recovery falls back to an older
 // one (within DurableConfig.KeepGenerations) and refuses to open if the
 // surviving files cannot cover the acknowledged sequence prefix.
-// CompactEvery and CompactDeadRatio are ignored: point checkpoints are
-// already full rewrites, so every checkpoint bounds recovery the way a
-// compaction does.
+// CompactEvery is ignored: point checkpoints are already full rewrites,
+// so every checkpoint bounds recovery the way a compaction does.
 func OpenDurablePointStore(opts pam.Options, splits []float64, cfg DurableConfig) (*DurablePointStore, error) {
 	cf := pointFormat{opts: opts, shards: len(splits) + 1}
 	d, states, next, err := openDurable(cfg, pointOpEnc, cf, pointRouter(splits), applyPointOps)

@@ -3,7 +3,6 @@ package serve
 import (
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dynamic"
@@ -44,10 +43,6 @@ type PointStore struct {
 	// splits is the active x-partition vector, swapped by Rebalance
 	// (observable via Splits without taking the sequencer).
 	splits atomic.Pointer[[]float64]
-
-	policyStop chan struct{}
-	policyWg   sync.WaitGroup
-	policyOnce sync.Once
 }
 
 // pointStore is PointStore under an unexported name: DurablePointStore
@@ -59,24 +54,15 @@ type pointStore = PointStore
 // NewPointStore returns a point store partitioned at the given strictly
 // increasing x splits (len(splits)+1 shards): a point belongs to the
 // shard of its x coordinate, points with x at or above a split go
-// right. Point stores support Rebalance, and an optional Tuning with
-// AutoRebalance set starts the automatic skew-triggered rebalance
-// policy; Tuning.CarryWorkers > 0 moves ladder carry cascades off the
-// shard goroutines onto a background pool.
+// right. Point stores support Rebalance. An optional Tuning configures
+// the async pipeline; Tuning.CarryWorkers > 0 moves ladder carry
+// cascades off the shard goroutines onto a background pool.
 func NewPointStore(opts pam.Options, splits []float64, tuning ...Tuning) *PointStore {
 	states := make([]rangetree.Tree, len(splits)+1)
 	for i := range states {
 		states[i] = rangetree.New(opts)
 	}
-	tun := pickTuning(tuning)
-	s := newPointStoreAt(opts, splits, states, 0, hooks[PointOp]{}, tun)
-	if tun.AutoRebalance != nil {
-		s.policyStop = make(chan struct{})
-		startAutoRebalance(s.eng, *tun.AutoRebalance,
-			func(t rangetree.Tree) int64 { return t.Size() },
-			s.Rebalance, s.policyStop, &s.policyWg)
-	}
-	return s
+	return newPointStoreAt(opts, splits, states, 0, hooks[PointOp]{}, pickTuning(tuning))
 }
 
 // newPointStoreAt wires a point store around pre-built shard states —
@@ -258,17 +244,10 @@ func (s *PointStore) PendingCarries() int {
 // NumShards returns the partition count.
 func (s *PointStore) NumShards() int { return s.eng.numShards() }
 
-// Close stops the auto-rebalance policy (if any) and the shard
-// goroutines, then the carry workers: in-flight background carries
-// finish (shards waiting on one are woken) before the pool shuts down.
-// See Store.Close.
+// Close stops the shard goroutines, then the carry workers: in-flight
+// background carries finish (shards waiting on one are woken) before
+// the pool shuts down. See Store.Close.
 func (s *PointStore) Close() {
-	s.policyOnce.Do(func() {
-		if s.policyStop != nil {
-			close(s.policyStop)
-			s.policyWg.Wait()
-		}
-	})
 	s.eng.close()
 	if s.pool != nil {
 		s.pool.Close()

@@ -195,9 +195,6 @@ type shard[O, T any] struct {
 
 	appliedMsgs atomic.Uint64
 	appliedOps  atomic.Uint64
-	// flushNanos is an EWMA (alpha 1/8) of enqueue-to-applied latency,
-	// written only by the shard goroutine.
-	flushNanos atomic.Int64
 }
 
 // hooks are the durable layer's attachment points.
@@ -479,7 +476,6 @@ func (e *engine[O, T]) shardLoop(s *shard[O, T]) {
 		s.state = e.apply(s.idx, s.state, held)
 		s.version += uint64(len(futs))
 		now := time.Now()
-		e.noteFlush(s, now.Sub(futs[0].enq))
 		s.appliedMsgs.Add(uint64(len(futs)))
 		s.appliedOps.Add(uint64(len(held)))
 		for _, f := range futs {
@@ -543,20 +539,6 @@ func (e *engine[O, T]) shardLoop(s *shard[O, T]) {
 	}
 }
 
-// noteFlush folds one flush's oldest-sub-batch latency into the shard's
-// EWMA (alpha 1/8). Only the shard goroutine writes it.
-func (e *engine[O, T]) noteFlush(s *shard[O, T], d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	old := s.flushNanos.Load()
-	if old == 0 {
-		s.flushNanos.Store(d.Nanoseconds())
-		return
-	}
-	s.flushNanos.Store(old - old/8 + d.Nanoseconds()/8)
-}
-
 // stats samples the per-shard pipeline counters.
 func (e *engine[O, T]) stats() []ShardStats {
 	out := make([]ShardStats, len(e.shards))
@@ -566,7 +548,6 @@ func (e *engine[O, T]) stats() []ShardStats {
 			QueuedOps:      s.qOps.Load(),
 			AppliedBatches: s.appliedMsgs.Load(),
 			AppliedOps:     s.appliedOps.Load(),
-			FlushLatency:   time.Duration(s.flushNanos.Load()),
 		}
 	}
 	return out
@@ -588,10 +569,9 @@ func (e *engine[O, T]) snapshot() (states []T, versions []uint64, seq uint64, ro
 // the markers are pushed: whatever pre does (the checkpoint protocol
 // rotates the WAL generation) happens at exactly the snapshot's
 // sequence point. Returns ok == false instead of snapshotting when the
-// engine is closed — internal callers (the checkpoint protocol, whose
-// caller may be the checkpointer goroutine or the scrubber's repair,
-// and the auto-rebalance policy) race Close legitimately and must stand
-// down rather than panic.
+// engine is closed — the checkpoint protocol, whose caller may be the
+// checkpointer goroutine or the scrubber's repair, races Close
+// legitimately and must stand down rather than panic.
 func (e *engine[O, T]) trySnapshotWith(pre func()) (states []T, versions []uint64, seq uint64, route func(O) int, ok bool) {
 	n := len(e.shards)
 	ch := make(chan shardState[T], n)

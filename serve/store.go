@@ -4,7 +4,6 @@ import (
 	"errors"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/seq"
 	"repro/pam"
@@ -44,10 +43,6 @@ func Del[K, V any](k K) Op[K, V] { return Op[K, V]{Kind: OpDelete, Key: k} }
 type Store[K, V, A any, E pam.Aug[K, V, A]] struct {
 	eng    *engine[Op[K, V], pam.AugMap[K, V, A, E]]
 	ranged bool
-
-	policyStop chan struct{}
-	policyWg   sync.WaitGroup
-	policyOnce sync.Once
 }
 
 // hashStore is Store under an unexported name: DurableStore embeds it,
@@ -72,9 +67,8 @@ func pickTuning(tuning []Tuning) Tuning {
 // ordered iteration remain correct regardless via the merged iterator,
 // which k-way merges one cursor per shard: O(s·log n + k·s) for k
 // visited entries over s shards.
-// An optional Tuning configures the async pipeline (Tuning.AutoRebalance
-// is ignored: hash stores do not rebalance). Returns ErrNoShards when
-// shards < 1, and an error when hash is nil.
+// An optional Tuning configures the async pipeline. Returns ErrNoShards
+// when shards < 1, and an error when hash is nil.
 func NewHashStore[K, V, A any, E pam.Aug[K, V, A]](opts pam.Options, shards int, hash func(K) uint64, tuning ...Tuning) (*Store[K, V, A, E], error) {
 	if shards < 1 {
 		return nil, ErrNoShards
@@ -95,26 +89,17 @@ func NewHashStore[K, V, A any, E pam.Aug[K, V, A]](opts pam.Options, shards int,
 // keys (strictly increasing in E's order): shard 0 owns keys below
 // splits[0], shard i owns splits[i-1] <= k < splits[i], and the last
 // shard owns keys at or above the last split — len(splits)+1 shards in
-// ascending key order. Range stores support Rebalance, and an optional
-// Tuning with AutoRebalance set starts the automatic skew-triggered
-// rebalance policy.
+// ascending key order. Range stores support Rebalance. An optional
+// Tuning configures the async pipeline.
 func NewRangeStore[K, V, A any, E pam.Aug[K, V, A]](opts pam.Options, splits []K, tuning ...Tuning) *Store[K, V, A, E] {
 	states := make([]pam.AugMap[K, V, A, E], len(splits)+1)
 	for i := range states {
 		states[i] = pam.NewAugMap[K, V, A, E](opts)
 	}
-	tun := pickTuning(tuning)
-	s := &Store[K, V, A, E]{
-		eng:    newEngine(states, opRouter[K, V](rangeRouter[K, E](splits)), applyMapOps[K, V, A, E], tun),
+	return &Store[K, V, A, E]{
+		eng:    newEngine(states, opRouter[K, V](rangeRouter[K, E](splits)), applyMapOps[K, V, A, E], pickTuning(tuning)),
 		ranged: true,
 	}
-	if tun.AutoRebalance != nil {
-		s.policyStop = make(chan struct{})
-		startAutoRebalance(s.eng, *tun.AutoRebalance,
-			func(m pam.AugMap[K, V, A, E]) int64 { return m.Size() },
-			s.Rebalance, s.policyStop, &s.policyWg)
-	}
-	return s
 }
 
 // rangeRouter routes a key to the count of splits at or below it.
@@ -272,25 +257,16 @@ func (s *Store[K, V, A, E]) ReaderView() (View[K, V, A, E], error) {
 }
 
 // Stats samples the per-shard pipeline counters: queued (admission
-// budget charge) and applied batch/op counts plus the flush-latency
-// EWMA feeding the auto-rebalance policy.
+// budget charge) and applied batch/op counts.
 func (s *Store[K, V, A, E]) Stats() []ShardStats { return s.eng.stats() }
 
 // NumShards returns the partition count.
 func (s *Store[K, V, A, E]) NumShards() int { return s.eng.numShards() }
 
-// Close stops the auto-rebalance policy (if any) and the shard
-// goroutines. In-flight batches are flushed and their futures resolve;
-// subsequent writes return ErrClosed. Views taken earlier remain valid.
-func (s *Store[K, V, A, E]) Close() {
-	s.policyOnce.Do(func() {
-		if s.policyStop != nil {
-			close(s.policyStop)
-			s.policyWg.Wait()
-		}
-	})
-	s.eng.close()
-}
+// Close stops the shard goroutines. In-flight batches are flushed and
+// their futures resolve; subsequent writes return ErrClosed. Views
+// taken earlier remain valid.
+func (s *Store[K, V, A, E]) Close() { s.eng.close() }
 
 // Rebalance re-splits a range-partitioned store so shard sizes are
 // equal to within one entry, moving whole subtrees between shards via
@@ -298,8 +274,7 @@ func (s *Store[K, V, A, E]) Close() {
 // duration (readers of existing views are untouched), changes no
 // logical content, and consumes no sequence number. Returns false (and
 // does nothing) on hash-partitioned stores, whose balance is up to the
-// hash, and ErrClosed after Close. With Tuning.AutoRebalance set this
-// fires automatically on sustained size or latency skew.
+// hash, and ErrClosed after Close.
 func (s *Store[K, V, A, E]) Rebalance() (bool, error) {
 	if !s.ranged {
 		return false, s.eng.closedErr()

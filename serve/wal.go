@@ -204,26 +204,27 @@ func (w *wal[O]) fail(err error) error {
 	return err
 }
 
-// Close flushes whatever is pending and closes the current file.
+// Close flushes whatever is pending and closes the current file, also
+// when the flush or an earlier one failed, and returns the first error.
 func (w *wal[O]) Close() error {
 	w.mu.Lock()
 	last := w.next
 	w.mu.Unlock()
+	var err error
 	if last > 0 {
-		if err := w.Sync(last - 1); err != nil {
-			return err
-		}
-	} else if err := w.flushOnce(); err != nil {
-		return err
+		err = w.Sync(last - 1)
+	} else {
+		err = w.flushOnce()
 	}
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	if w.f != nil {
-		err := w.f.Close()
+		if cerr := w.f.Close(); err == nil {
+			err = cerr
+		}
 		w.f = nil
-		return err
 	}
-	return nil
+	return err
 }
 
 // walBatch is one decoded WAL record.
