@@ -24,16 +24,17 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Race-detector pass over the concurrency-heavy packages plus the
-# dynamic-structure snapshot stress test (concurrent readers vs. an
-# inserting/folding writer), the background-carry worker pool, and the
-# whole serving layer, including the 1000-schedule differential harness
-# with its concurrent replica readers, the crash–recovery
+# Race-detector pass over the concurrency-heavy packages (the core,
+# including concurrent encodes of shared trees, and the pam wrapper)
+# plus the dynamic-structure snapshot stress test (concurrent readers
+# vs. an inserting/folding writer), the background-carry worker pool,
+# and the whole serving layer, including the 1000-schedule differential
+# harness with its concurrent replica readers, the crash–recovery
 # fault-injection harness, and the writer/reader/snapshotter/rebalancer
 # stress tests (TestServeStressCarries covers carries racing
 # rebalances).
 race:
-	$(GO) test -race ./internal/core ./internal/parallel
+	$(GO) test -race ./internal/core ./internal/parallel ./pam
 	$(GO) test -race -run 'TestDynamicConcurrent' .
 	$(GO) test -race ./internal/dynamic
 	$(GO) test -race ./serve

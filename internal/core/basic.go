@@ -59,6 +59,7 @@ func (o *ops[K, V, A, T]) leafInsert(t *node[K, V, A], k K, v V, h func(old, new
 			if o.stats != nil {
 				o.stats.Reuses.Add(1)
 			}
+			t.unstamp()
 			t.items = t.items[:len(t.items)+1]
 			copy(t.items[i+1:], t.items[i:])
 			t.items[i] = Entry[K, V]{Key: k, Val: v}
@@ -75,6 +76,7 @@ func (o *ops[K, V, A, T]) leafInsert(t *node[K, V, A], k K, v V, h func(old, new
 			if o.stats != nil {
 				o.stats.Reuses.Add(1)
 			}
+			t.unstamp()
 			t.items = grown
 			t.size = int64(len(grown))
 			t.aug = o.leafAug(grown)

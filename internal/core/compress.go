@@ -364,6 +364,7 @@ func (o *ops[K, V, A, T]) rebuildLeaf(t *node[K, V, A], items []Entry[K, V]) *no
 		if o.stats != nil {
 			o.stats.Reuses.Add(1)
 		}
+		t.unstamp()
 		if o.comp != nil {
 			t.packed = o.packLeafInto(t.packed[:0], items)
 		} else {

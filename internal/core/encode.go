@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"sync/atomic"
 )
 
 // Structure-sharing-aware serialization (the durability substrate of the
@@ -11,10 +12,13 @@ import (
 // disk: one leaf block is one contiguous record, and interior nodes are
 // tiny records referencing their children by record id. Because trees
 // are persistent, two trees — or two checkpoints of the same evolving
-// tree — share subtrees by pointer; a RecordSet remembers which nodes
-// already have on-disk records, so an incremental checkpoint emits only
-// the records created since the previous one: O(k · polylog n) block
-// records after k updates to an n-entry tree, not O(n).
+// tree — share subtrees by pointer. Each encoded node carries its own
+// record (a stamp naming the RecordSet that wrote it, its record id and
+// its digest), and a RecordSet recognizes the stamps of its chain, so an
+// incremental checkpoint emits only the records created since the
+// previous one: O(k · polylog n) block records after k updates to an
+// n-entry tree, not O(n). The set itself holds no node, so a superseded
+// version is freed by the garbage collector like any other garbage.
 //
 // The wire format is a flat stream of records in bottom-up (post-)
 // order, so every child id refers strictly backward:
@@ -53,58 +57,84 @@ type Codec[K, V any] struct {
 // replicas; the zero Digest is the digest of the empty tree.
 type Digest = [sha256.Size]byte
 
-// recMeta is what a RecordSet (and, positionally, a DecodeTable)
-// remembers per encoded node: its chain-wide record id and its Merkle
-// digest, the latter so an incremental delta can chain a new parent to
-// children encoded in earlier checkpoints without re-walking them.
+// recMeta is a record's chain-wide id and Merkle digest. A node's stamp
+// keeps it (a DecodeTable keeps it positionally) so an incremental delta
+// can chain a new parent to children encoded in earlier checkpoints
+// without re-walking them.
 type recMeta struct {
 	id  uint64
 	sum Digest
 }
 
-// RecordSet tracks the nodes that already have on-disk records, keyed
-// by node identity, across a chain of incremental checkpoints. The set
-// holds strong references to every node it has assigned an id, keeping
-// encoded nodes reachable (and their pointers stable) for the lifetime
-// of the chain, so a node's address identifies it even after every
-// tree that held it is released.
-//
-// A set made by Fork extends a base set without changing it: the
-// records it assigns go into its own map, and lookups that miss that
-// map fall through to the base.
-type RecordSet[K, V, A any] struct {
-	ids  map[*node[K, V, A]]recMeta
-	base *RecordSet[K, V, A] // nil unless the set is an uncommitted fork
-	next uint64
+// recStamp is the record a node was given by the last RecordSet that
+// encoded it: that set's token and the record's id and digest. A stamp
+// is never edited once stored; a node's stamp is only replaced, by the
+// next set that encodes the node, or cleared, by an in-place edit.
+type recStamp struct {
+	tok *recToken
+	recMeta
 }
 
-// NewRecordSet returns an empty record set; the first record encoded
-// against it gets id 1.
+// recToken names one RecordSet. chain is 0 while the set is an
+// uncommitted fork and its chain's id once the set's records belong to
+// the chain: from creation for a root set, from Commit for a fork.
+type recToken struct{ chain atomic.Uint64 }
+
+// chainIDs hands out chain ids; 0 means "no chain" in a recToken.
+var chainIDs atomic.Uint64
+
+// RecordSet numbers the records of one chain of incremental checkpoints
+// and recognizes the nodes that already have one. It keeps no per-node
+// state: EncodeDelta stamps every node it writes with the set's token,
+// its record id and its digest, and the set accepts a stamp that
+// carries its own token or the token of a committed set of its chain.
+//
+// A node remembers only the last set that encoded it. Two sets of
+// different chains that encode the same trees in turn therefore both
+// stay correct, but each re-stamps the other's nodes and writes them
+// again in its next delta. Stamps are stored atomically, so concurrent
+// encodes of shared trees into different sets race with nothing; an
+// encode that finds its own stamp replaced writes that node again.
+//
+// A set made by Fork extends a base set without changing it; its
+// records join the chain only when it is committed.
+type RecordSet[K, V, A any] struct {
+	tok   recToken // stamps point here
+	chain uint64
+	next  uint64
+}
+
+// NewRecordSet returns an empty record set that starts a new chain; the
+// first record encoded against it gets id 1.
 func NewRecordSet[K, V, A any]() *RecordSet[K, V, A] {
-	return &RecordSet[K, V, A]{ids: make(map[*node[K, V, A]]recMeta), next: 1}
+	rs := &RecordSet[K, V, A]{chain: chainIDs.Add(1), next: 1}
+	rs.tok.chain.Store(rs.chain)
+	return rs
 }
 
 // NextID returns the id the next new record will be assigned.
 func (rs *RecordSet[K, V, A]) NextID() uint64 { return rs.next }
 
 // Len returns the number of records assigned so far, the base's
-// included.
-func (rs *RecordSet[K, V, A]) Len() int {
-	n := 0
-	for s := rs; s != nil; s = s.base {
-		n += len(s.ids)
+// included. Ids are dense from 1, so that is NextID() - 1.
+func (rs *RecordSet[K, V, A]) Len() int { return int(rs.next - 1) }
+
+// lookup returns the id and digest n was assigned, if n's stamp is one
+// rs accepts: its own, or that of a committed set of its chain.
+func (rs *RecordSet[K, V, A]) lookup(n *node[K, V, A]) (recMeta, bool) {
+	s := n.rec.Load()
+	if s == nil || (s.tok != &rs.tok && s.tok.chain.Load() != rs.chain) {
+		return recMeta{}, false
 	}
-	return n
+	return s.recMeta, true
 }
 
-// lookup returns the id and digest n was assigned, in rs or its base.
-func (rs *RecordSet[K, V, A]) lookup(n *node[K, V, A]) (recMeta, bool) {
-	for s := rs; s != nil; s = s.base {
-		if m, ok := s.ids[n]; ok {
-			return m, true
-		}
-	}
-	return recMeta{}, false
+// stamp gives n the next record id of rs with the given digest.
+func (rs *RecordSet[K, V, A]) stamp(n *node[K, V, A], sum Digest) recMeta {
+	m := recMeta{id: rs.next, sum: sum}
+	rs.next++
+	n.rec.Store(&recStamp{tok: &rs.tok, recMeta: m})
+	return m
 }
 
 // Fork returns a set that continues rs in O(1): records encoded against
@@ -112,36 +142,26 @@ func (rs *RecordSet[K, V, A]) lookup(n *node[K, V, A]) (recMeta, bool) {
 // (its NextID, Len and digests do not change). The checkpoint protocol
 // encodes against a fork and commits it only once the checkpoint file
 // is durably published, so a failed write never burns record ids the
-// on-disk chain has not seen; an abandoned fork is simply dropped.
+// on-disk chain has not seen. An abandoned fork is simply dropped: the
+// stamps it left are accepted by no other set, so the next fork of rs
+// writes those nodes again under the same ids.
+//
+// Fork a committed set (the chain's newest): a fork of an uncommitted
+// fork sees only the committed records and its own.
 func (rs *RecordSet[K, V, A]) Fork() *RecordSet[K, V, A] {
-	return &RecordSet[K, V, A]{ids: make(map[*node[K, V, A]]recMeta), base: rs, next: rs.next}
+	return &RecordSet[K, V, A]{chain: rs.chain, next: rs.next}
 }
 
-// Commit makes a fork stand alone by folding the smaller of its map and
-// its base's into the larger, so committing a delta of k records onto a
-// set of n costs O(min(k, n)). The fork then holds every record of the
-// base; the base is consumed and must not be used again. Commit on a
-// set that is not a fork does nothing.
-func (rs *RecordSet[K, V, A]) Commit() {
-	b := rs.base
-	if b == nil {
-		return
-	}
-	small, large := rs.ids, b.ids
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	for n, m := range small {
-		large[n] = m
-	}
-	rs.ids, rs.base = large, b.base
-	b.ids, b.base = nil, nil
-}
+// Commit makes a fork's records part of its chain in O(1), so every
+// later fork accepts them. The fork then continues the chain and its
+// base must not be used again. Commit on a committed set does nothing.
+func (rs *RecordSet[K, V, A]) Commit() { rs.tok.chain.Store(rs.chain) }
 
 // RootDigest returns the Merkle digest of t's root record, which is in
 // rs once t has been encoded against it (an empty tree has the zero
 // digest and ok == true). ok == false means t's root was never encoded
-// against rs.
+// against rs, or has since been stamped by a set rs does not accept or
+// edited in place.
 func RootDigest[K, V, A any, T Traits[K, V, A]](t Tree[K, V, A, T], rs *RecordSet[K, V, A]) (Digest, bool) {
 	if t.root == nil {
 		return Digest{}, true
@@ -182,8 +202,8 @@ const (
 )
 
 // EncodeDelta appends, to buf, one record for every node of t not yet
-// in rs (bottom-up, children before parents), assigns those nodes ids
-// and Merkle digests in rs, and returns the extended buf, the root's
+// in rs (bottom-up, children before parents), stamps those nodes with
+// their new ids and Merkle digests, and returns the extended buf, the root's
 // record id (0 for an empty tree), and the number of new records
 // written. Nodes already in rs — shared with a previously encoded tree
 // — are referenced by id and cost nothing, which is what makes
@@ -228,11 +248,8 @@ func EncodeDelta[K, V, A any, T Traits[K, V, A]](t Tree[K, V, A, T], rs *RecordS
 			buf = c.AppendVal(buf, n.val)
 			scratch, sum = interiorDigest(scratch, uint64(n.aux), lm.sum, rm.sum, buf[entryStart:])
 		}
-		m := recMeta{id: rs.next, sum: sum}
-		rs.next++
-		rs.ids[n] = m
 		wrote++
-		return m
+		return rs.stamp(n, sum)
 	}
 	root := walk(t.root)
 	return buf, root.id, wrote
@@ -273,16 +290,17 @@ func NewDecodeTable[K, V, A any, T Traits[K, V, A]](cfg Config) *DecodeTable[K, 
 // a broken chain.
 func (tb *DecodeTable[K, V, A, T]) NextID() uint64 { return uint64(len(tb.nodes)) + 1 }
 
-// RecordSet converts the table into the encoder-side record set mapping
-// every decoded node to its id, so a recovered process continues the
-// incremental checkpoint chain exactly where the decoded files left it:
-// the next delta writes only nodes created after recovery.
+// RecordSet starts a new chain and stamps every decoded node with its
+// record id and digest in it, so a recovered
+// process continues the incremental checkpoint chain exactly where the
+// decoded files left it: the next delta writes only nodes created after
+// recovery.
 func (tb *DecodeTable[K, V, A, T]) RecordSet() *RecordSet[K, V, A] {
-	ids := make(map[*node[K, V, A]]recMeta, len(tb.nodes))
+	rs := NewRecordSet[K, V, A]()
 	for i, n := range tb.nodes {
-		ids[n] = recMeta{id: uint64(i) + 1, sum: tb.sums[i]}
+		rs.stamp(n, tb.sums[i]) // id i+1
 	}
-	return &RecordSet[K, V, A]{ids: ids, next: uint64(len(tb.nodes)) + 1}
+	return rs
 }
 
 // Digest returns the Merkle digest of the record with the given id

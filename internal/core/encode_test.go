@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -230,6 +231,21 @@ func forkChain() []Tree[int, int64, int64, sumTraits] {
 	return out
 }
 
+// treeNodes returns every node of t in pre-order, borrowed.
+func treeNodes[K, V, A any, T Traits[K, V, A]](t Tree[K, V, A, T]) []*node[K, V, A] {
+	var out []*node[K, V, A]
+	var walk func(n *node[K, V, A])
+	walk = func(n *node[K, V, A]) {
+		if n != nil {
+			out = append(out, n)
+			walk(n.left)
+			walk(n.right)
+		}
+	}
+	walk(t.root)
+	return out
+}
+
 // TestRecordSetForkUncommitted pins that a fork never committed leaves
 // its base as it was: NextID, Len, and the digests and ids of every
 // record the base already held.
@@ -242,9 +258,13 @@ func TestRecordSetForkUncommitted(t *testing.T) {
 	if !ok {
 		t.Fatal("base lost the root it just encoded")
 	}
-	ids := make(map[*node[int, int64, int64]]recMeta, len(rs.ids))
-	for k, m := range rs.ids {
-		ids[k] = m
+	ids := make(map[*node[int, int64, int64]]recMeta)
+	for _, nd := range treeNodes(trees[0]) {
+		m, ok := rs.lookup(nd)
+		if !ok {
+			t.Fatal("base does not know a node it just encoded")
+		}
+		ids[nd] = m
 	}
 
 	fork := rs.Fork()
@@ -261,12 +281,14 @@ func TestRecordSetForkUncommitted(t *testing.T) {
 	if _, ok := RootDigest(trees[1], rs); ok {
 		t.Fatal("base knows a root only its uncommitted fork encoded")
 	}
-	if len(rs.ids) != len(ids) {
-		t.Fatalf("base map grew from %d to %d entries", len(ids), len(rs.ids))
-	}
-	for k, m := range ids {
-		if rs.ids[k] != m {
-			t.Fatalf("base record %d changed under an uncommitted fork", m.id)
+	for _, nd := range append(treeNodes(trees[0]), treeNodes(trees[1])...) {
+		got, ok := rs.lookup(nd)
+		want, had := ids[nd]
+		if ok != had {
+			t.Fatalf("base knows a node: %v, before the fork: %v", ok, had)
+		}
+		if got != want {
+			t.Fatalf("base record %d changed under an uncommitted fork", want.id)
 		}
 	}
 }
@@ -275,16 +297,19 @@ func TestRecordSetForkUncommitted(t *testing.T) {
 // against a fork and committing it gives the same bytes, ids, digests,
 // NextID and Len as encoding the whole sequence against one set — what
 // the old clone-and-swap protocol produced. An abandoned fork between
-// the steps, a failed checkpoint, must not perturb anything.
+// the steps, a failed checkpoint, must not perturb anything. The direct
+// side encodes a separately built copy of the same trees, because a
+// node remembers only the last chain that encoded it.
 func TestRecordSetForkCommitMatchesDirect(t *testing.T) {
 	direct := NewRecordSet[int, int64, int64]()
 	chain := NewRecordSet[int, int64, int64]()
-	for i, tr := range forkChain() {
+	trees, copies := forkChain(), forkChain()
+	for i, tr := range trees {
 		abandoned := chain.Fork()
 		EncodeDelta(tr.Insert(-100, 1), abandoned, testCodec(), nil)
 
-		wantBuf, wantRoot, wantWrote := EncodeDelta(tr, direct, testCodec(), nil)
-		wantSum, _ := RootDigest(tr, direct)
+		wantBuf, wantRoot, wantWrote := EncodeDelta(copies[i], direct, testCodec(), nil)
+		wantSum, _ := RootDigest(copies[i], direct)
 
 		fork := chain.Fork()
 		buf, root, wrote := EncodeDelta(tr, fork, testCodec(), nil)
@@ -298,16 +323,178 @@ func TestRecordSetForkCommitMatchesDirect(t *testing.T) {
 			t.Fatalf("step %d: fork wrote %d records (root %d), direct %d (root %d), bytes equal %v",
 				i, wrote, root, wantWrote, wantRoot, string(buf) == string(wantBuf))
 		}
-		if chain.base != nil {
-			t.Fatalf("step %d: committed fork still has a base", i)
-		}
 		if chain.NextID() != direct.NextID() || chain.Len() != direct.Len() {
 			t.Fatalf("step %d: committed NextID/Len %d/%d, direct %d/%d",
 				i, chain.NextID(), chain.Len(), direct.NextID(), direct.Len())
 		}
-		for k, m := range direct.ids {
-			if got, ok := chain.lookup(k); !ok || got != m {
-				t.Fatalf("step %d: record %d missing or different after commit", i, m.id)
+		for j := 0; j <= i; j++ {
+			cn, dn := treeNodes(trees[j]), treeNodes(copies[j])
+			if len(cn) != len(dn) {
+				t.Fatalf("step %d: tree %d and its copy have %d and %d nodes", i, j, len(cn), len(dn))
+			}
+			for x := range dn {
+				m, _ := direct.lookup(dn[x])
+				if got, ok := chain.lookup(cn[x]); !ok || got != m {
+					t.Fatalf("step %d: record %d missing or different after commit", i, m.id)
+				}
+			}
+		}
+	}
+}
+
+// TestRecordSetAbandonedForkNoAlias pins that the stamps an abandoned
+// fork leaves are accepted neither by its base nor by the next fork of
+// that base, which hands out the same ids again: the next fork rewrites
+// those nodes under its own ids, and its chain decodes to its trees.
+func TestRecordSetAbandonedForkNoAlias(t *testing.T) {
+	trees := forkChain()
+	rs := NewRecordSet[int, int64, int64]()
+	buf, _, wrote0 := EncodeDelta(trees[0], rs, testCodec(), nil)
+
+	abandoned := rs.Fork()
+	_, _, wrote1 := EncodeDelta(trees[1], abandoned, testCodec(), nil)
+	fork := rs.Fork()
+	if fork.NextID() != rs.NextID() {
+		t.Fatalf("next fork starts at id %d, want the abandoned fork's %d", fork.NextID(), rs.NextID())
+	}
+	for _, nd := range treeNodes(trees[1]) {
+		_, inBase := rs.lookup(nd)
+		_, inFork := fork.lookup(nd)
+		if _, mine := abandoned.lookup(nd); !mine || inFork != inBase {
+			t.Fatalf("abandoned fork knows the node: %v; base %v, next fork %v", mine, inBase, inFork)
+		}
+	}
+	if _, ok := RootDigest(trees[1], rs); ok {
+		t.Fatal("base accepts the abandoned fork's root")
+	}
+
+	// trees[2] shares most of its nodes with trees[1]; the next fork must
+	// write every one the abandoned fork stamped.
+	buf, root1, wrote1b := EncodeDelta(trees[1], fork, testCodec(), buf)
+	buf, root2, wrote2 := EncodeDelta(trees[2], fork, testCodec(), buf)
+	if wrote1b != wrote1 {
+		t.Fatalf("next fork wrote %d records for the abandoned fork's tree, want %d", wrote1b, wrote1)
+	}
+	fork.Commit()
+	tb := NewDecodeTable[int, int64, int64, sumTraits](Config{Block: 4})
+	if rest, err := tb.DecodeRecords(testCodec(), buf, wrote0+wrote1b+wrote2); err != nil || len(rest) != 0 {
+		t.Fatalf("decode: %v, %d bytes left", err, len(rest))
+	}
+	for _, tc := range []struct {
+		id   uint64
+		want Tree[int, int64, int64, sumTraits]
+	}{{root1, trees[1]}, {root2, trees[2]}} {
+		checkDecoded(t, tb, tc.id, tc.want)
+	}
+}
+
+// checkDecoded checks that the table's tree at id is valid and has
+// want's entries and root digest.
+func checkDecoded(t *testing.T, tb *DecodeTable[int, int64, int64, sumTraits], id uint64, want Tree[int, int64, int64, sumTraits]) {
+	t.Helper()
+	got, err := tb.Tree(id)
+	if err != nil {
+		t.Fatalf("Tree(%d): %v", id, err)
+	}
+	if err := got.Validate(func(a, b int64) bool { return a == b }); err != nil {
+		t.Fatalf("decoded tree %d invalid: %v", id, err)
+	}
+	we, ge := want.Entries(), got.Entries()
+	if len(we) != len(ge) {
+		t.Fatalf("decoded tree %d has %d entries, want %d", id, len(ge), len(we))
+	}
+	for i := range we {
+		if we[i] != ge[i] {
+			t.Fatalf("decoded tree %d: entry %d = %v, want %v", id, i, ge[i], we[i])
+		}
+	}
+	sum, _ := tb.Digest(id)
+	ref := NewRecordSet[int, int64, int64]()
+	EncodeDelta(want, ref, testCodec(), nil)
+	if wantSum, _ := RootDigest(want, ref); sum != wantSum {
+		t.Fatalf("decoded tree %d has a different root digest", id)
+	}
+}
+
+// TestRecordSetAlternatingChains encodes the same trees into two chains
+// in turn. Each node remembers only the last chain that encoded it, so
+// after the first step every delta of either chain rewrites its whole
+// tree; both chains still decode to the trees.
+func TestRecordSetAlternatingChains(t *testing.T) {
+	trees := forkChain()
+	type chain struct {
+		rs    *RecordSet[int, int64, int64]
+		buf   []byte
+		recs  int
+		roots []uint64
+	}
+	chains := []*chain{{rs: NewRecordSet[int, int64, int64]()}, {rs: NewRecordSet[int, int64, int64]()}}
+	for i, tr := range trees {
+		for _, c := range chains {
+			fork := c.rs.Fork()
+			var root uint64
+			var wrote int
+			c.buf, root, wrote = EncodeDelta(tr, fork, testCodec(), c.buf)
+			fork.Commit()
+			c.rs = fork
+			c.recs += wrote
+			c.roots = append(c.roots, root)
+			if n := len(treeNodes(tr)); i > 0 && wrote != n {
+				t.Fatalf("step %d: delta wrote %d records, want the whole tree's %d", i, wrote, n)
+			}
+		}
+	}
+	for _, c := range chains {
+		tb := NewDecodeTable[int, int64, int64, sumTraits](Config{Block: 4})
+		if rest, err := tb.DecodeRecords(testCodec(), c.buf, c.recs); err != nil || len(rest) != 0 {
+			t.Fatalf("decode: %v, %d bytes left", err, len(rest))
+		}
+		for i, id := range c.roots {
+			checkDecoded(t, tb, id, trees[i])
+		}
+	}
+}
+
+// TestRecordSetConcurrentEncode encodes one forest into two sets from
+// two goroutines at once, each as a fork-and-commit chain the way the
+// serve layer checkpoints. Stamps are atomic, so under the race
+// detector nothing races; each chain decodes to the contents and root
+// digests of the trees.
+func TestRecordSetConcurrentEncode(t *testing.T) {
+	trees := forkChain()
+	for round := 0; round < 10; round++ {
+		type result struct {
+			buf   []byte
+			recs  int
+			roots []uint64
+		}
+		res := make([]result, 2)
+		var wg sync.WaitGroup
+		for g := range res {
+			wg.Add(1)
+			go func(r *result) {
+				defer wg.Done()
+				rs := NewRecordSet[int, int64, int64]()
+				for _, tr := range trees {
+					fork := rs.Fork()
+					var root uint64
+					var wrote int
+					r.buf, root, wrote = EncodeDelta(tr, fork, testCodec(), r.buf)
+					fork.Commit()
+					rs = fork
+					r.recs += wrote
+					r.roots = append(r.roots, root)
+				}
+			}(&res[g])
+		}
+		wg.Wait()
+		for _, r := range res {
+			tb := NewDecodeTable[int, int64, int64, sumTraits](Config{Block: 4})
+			if rest, err := tb.DecodeRecords(testCodec(), r.buf, r.recs); err != nil || len(rest) != 0 {
+				t.Fatalf("round %d: decode: %v, %d bytes left", round, err, len(rest))
+			}
+			for i, id := range r.roots {
+				checkDecoded(t, tb, id, trees[i])
 			}
 		}
 	}
@@ -315,7 +502,8 @@ func TestRecordSetForkCommitMatchesDirect(t *testing.T) {
 
 // TestRecordSetForkAllocs pins that a fork costs O(1) whatever the size
 // of its base: forking a set of over 100k records allocates the same
-// small constant as forking an empty one.
+// small constant as forking an empty one, and committing allocates
+// nothing.
 func TestRecordSetForkAllocs(t *testing.T) {
 	items := make([]Entry[int, int64], 150_000)
 	for i := range items {
@@ -330,5 +518,11 @@ func TestRecordSetForkAllocs(t *testing.T) {
 	var fork *RecordSet[int, int64, int64]
 	if allocs := testing.AllocsPerRun(100, func() { fork = rs.Fork() }); allocs > 2 || fork.Len() != rs.Len() {
 		t.Fatalf("Fork of a %d-record set made %.0f allocations, want at most 2", rs.Len(), allocs)
+	}
+	if _, _, wrote := EncodeDelta(tr.Insert(-1, 1), fork, testCodec(), nil); wrote == 0 {
+		t.Fatal("fork wrote no records")
+	}
+	if allocs := testing.AllocsPerRun(100, fork.Commit); allocs != 0 {
+		t.Fatalf("Commit made %.0f allocations, want 0", allocs)
 	}
 }

@@ -26,8 +26,9 @@ import (
 // in-place edits of the array.
 type node[K, V, A any] struct {
 	left, right *node[K, V, A]
-	items       []Entry[K, V] // non-nil: flat leaf block (sorted, 1..B entries)
-	packed      []byte        // non-nil: compressed leaf block (see compress.go)
+	items       []Entry[K, V]            // non-nil: flat leaf block (sorted, 1..B entries)
+	packed      []byte                   // non-nil: compressed leaf block (see compress.go)
+	rec         atomic.Pointer[recStamp] // the node's checkpoint record, if encoded (encode.go)
 	key         K
 	val         V
 	aug         A
@@ -320,6 +321,7 @@ func (o *ops[K, V, A, T]) mutable(t *node[K, V, A]) *node[K, V, A] {
 		if o.stats != nil {
 			o.stats.Reuses.Add(1)
 		}
+		t.unstamp()
 		return t
 	}
 	var n *node[K, V, A]
@@ -349,6 +351,15 @@ func (o *ops[K, V, A, T]) mutable(t *node[K, V, A]) *node[K, V, A] {
 	// not own.
 	t.refs.Add(-1)
 	return n
+}
+
+// unstamp drops t's checkpoint record before an in-place edit, after
+// which the record no longer describes t. Every path that reuses a node
+// with refs == 1 calls it; copies and fresh nodes start unstamped.
+func (t *node[K, V, A]) unstamp() {
+	if t.rec.Load() != nil {
+		t.rec.Store(nil)
+	}
 }
 
 // detach dismantles an owned interior node, transferring ownership of its

@@ -21,6 +21,7 @@ import (
 type CarryPool struct {
 	jobs chan func()
 	wg   sync.WaitGroup
+	once sync.Once
 }
 
 // NewCarryPool starts a pool of the given number of workers (min 1).
@@ -46,10 +47,10 @@ func NewCarryPool(workers int) *CarryPool {
 // finishing a job needs that mutex to deliver the result.
 func (p *CarryPool) submit(f func()) { p.jobs <- f }
 
-// Close waits for in-flight jobs and stops the workers. No submits may
-// follow.
+// Close waits for in-flight jobs and stops the workers; safe to call
+// more than once. No submits may follow.
 func (p *CarryPool) Close() {
-	close(p.jobs)
+	p.once.Do(func() { close(p.jobs) })
 	p.wg.Wait()
 }
 

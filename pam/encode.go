@@ -18,11 +18,15 @@ import (
 // Uint64Codec for a ready-made instance and a template.
 type Codec[K, V any] = core.Codec[K, V]
 
-// RecordSet tracks which nodes already have on-disk records across a
-// chain of incremental checkpoints (it keeps those nodes reachable).
-// Fork starts a tentative extension in O(1) and Commit adopts it in
-// O(delta), so a checkpoint that fails to publish leaves the set as
-// it was.
+// RecordSet numbers the records of a chain of incremental checkpoints
+// and recognizes the nodes that already have one. Each encoded node
+// carries its own record (its id and digest, stamped by the set that
+// wrote it), so the set holds no node and a superseded map version is
+// freed by the garbage collector. Fork starts a tentative extension
+// and Commit adopts it, both in O(1), so a checkpoint that fails to
+// publish leaves the set as it was. A node remembers only the last
+// chain that encoded it: two sets that take turns encoding the same
+// maps both stay correct, but each rewrites the other's nodes.
 type RecordSet[K, V, A any] = core.RecordSet[K, V, A]
 
 // Digest is a record's Merkle content hash (sha256); equal subtrees
@@ -83,9 +87,9 @@ func (tb *DecodeTable[K, V, A, E]) Map(id uint64) (AugMap[K, V, A, E], error) {
 	return wrap(t), err
 }
 
-// RecordSet converts the table into the encoder-side record set, so a
-// recovered process continues the incremental checkpoint chain where
-// the decoded files left it.
+// RecordSet stamps the decoded nodes into a new encoder-side record
+// set, so a recovered process continues the incremental checkpoint
+// chain where the decoded files left it.
 func (tb *DecodeTable[K, V, A, E]) RecordSet() *RecordSet[K, V, A] { return tb.tb.RecordSet() }
 
 // Digest returns the Merkle digest of the record with the given id,

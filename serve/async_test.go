@@ -311,28 +311,52 @@ func TestCloseGoroutineBaseline(t *testing.T) {
 	}
 }
 
-// TestErrClosedSticky closes each store flavor and checks every write
-// entry point returns the sticky ErrClosed instead of panicking, sync
-// and async alike.
+// TestErrClosedSticky closes each store flavor twice (Close is
+// idempotent; point stores with and without carry workers) and checks
+// every write entry point returns the sticky ErrClosed instead of
+// panicking, sync and async alike.
 func TestErrClosedSticky(t *testing.T) {
 	kv, err := NewHashStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](pam.Options{}, 2, mixHash)
 	if err != nil {
 		t.Fatalf("NewHashStore: %v", err)
 	}
 	kv.Close()
-	kv.Close() // idempotent
+	kv.Close()
 	pt := NewPointStore(pam.Options{}, []float64{0})
+	pt.Close()
 	pt.Close()
 	d, err := openDurSum(NewMemFS(), 2, 0)
 	if err != nil {
 		t.Fatalf("openDurSum: %v", err)
 	}
 	d.Close()
+	d.Close()
 	dp, err := OpenDurablePointStore(pam.Options{}, []float64{0}, DurableConfig{FS: NewMemFS()})
 	if err != nil {
 		t.Fatalf("OpenDurablePointStore: %v", err)
 	}
 	dp.Close()
+	dp.Close()
+	for _, tc := range []struct {
+		name  string
+		twice func(t *testing.T)
+	}{
+		{"points/CarryWorkers2", func(t *testing.T) {
+			s := NewPointStore(pam.Options{}, []float64{0}, Tuning{CarryWorkers: 2})
+			s.Close()
+			s.Close()
+		}},
+		{"durablepoints/CarryWorkers2", func(t *testing.T) {
+			s, err := OpenDurablePointStore(pam.Options{}, []float64{0}, DurableConfig{FS: NewMemFS(), Tuning: Tuning{CarryWorkers: 2}})
+			if err != nil {
+				t.Fatalf("OpenDurablePointStore: %v", err)
+			}
+			s.Close()
+			s.Close()
+		}},
+	} {
+		t.Run("CloseTwice/"+tc.name, tc.twice)
+	}
 	p := rangetree.Point{X: 1, Y: 2}
 	for _, tc := range []struct {
 		name string

@@ -150,9 +150,6 @@ type DurableConfig struct {
 	// corrupt files, and repairs by compacting the live state into a
 	// fresh base. Results surface through ScrubStats and Err.
 	ScrubEvery time.Duration
-	// ScrubBytesPerSec, when positive, throttles the scrubber to
-	// approximately that verification bandwidth.
-	ScrubBytesPerSec int
 	// Tuning configures the async write pipeline of the underlying
 	// store (mailbox bounds, backpressure, flush size, carries).
 	Tuning Tuning
@@ -695,7 +692,7 @@ func (d *durable[O, T]) start(eng *engine[O, T], cfg DurableConfig) *durable[O, 
 		d.ckpt = startCheckpointer(d.autoCheckpoint)
 	}
 	if cfg.ScrubEvery > 0 {
-		d.scrub = startScrubber(cfg.ScrubEvery, cfg.ScrubBytesPerSec, scrubHooks{
+		d.scrub = startScrubber(cfg.ScrubEvery, scrubHooks{
 			epoch:  d.epoch.Load,
 			verify: d.verifyPass,
 			repair: d.repairCorrupt,
@@ -842,8 +839,9 @@ func encodeStoreCheckpoint[K, V, A any, E pam.Aug[K, V, A]](states []pam.AugMap[
 }
 
 // mapFormat is DurableStore's ckptFormat: the incremental PAMCKPT2
-// chain. rs holds the records the on-disk chain already has, so a
-// checkpoint writes only the delta; the core's ckptMu guards it.
+// chain. rs numbers the on-disk chain's records and recognizes the
+// nodes that already have one, so a checkpoint writes only the delta;
+// the core's ckptMu guards it.
 type mapFormat[K, V, A any, E pam.Aug[K, V, A]] struct {
 	opts   pam.Options // the tree schema, needed to decode chains
 	codec  *pam.Codec[K, V]
@@ -865,7 +863,10 @@ func (f *mapFormat[K, V, A, E]) encode(states []pam.AugMap[K, V, A, E], seq uint
 	// compaction, a fresh set, making the encode a full rewrite of the
 	// live records (firstID 1 marks the file as a base). Ids are
 	// committed only with the file, so a failed attempt never burns ids
-	// the on-disk chain hasn't seen.
+	// the on-disk chain hasn't seen. A node remembers only the last set
+	// that encoded it: after a failed compaction, whose fresh set
+	// re-stamped every live node, the chain's next delta rewrites them
+	// all.
 	rs := pam.NewRecordSet[K, V, A]()
 	if !fresh {
 		rs = f.rs.Fork()

@@ -11,8 +11,7 @@ import (
 // and verifies every sealed durable file, quarantines corrupt ones, and
 // triggers a repair (compaction of the live state into a fresh base).
 // The durable core both durable stores embed plugs in through
-// scrubHooks; the scrubber itself only paces passes, throttles
-// bandwidth, and keeps counters.
+// scrubHooks; the scrubber itself only paces passes and keeps counters.
 
 // ScrubStats reports a background scrubber's lifetime counters.
 type ScrubStats struct {
@@ -50,7 +49,6 @@ type scrubHooks struct {
 
 type scrubber struct {
 	every time.Duration
-	bps   int
 	h     scrubHooks
 
 	mu    sync.Mutex
@@ -62,28 +60,26 @@ type scrubber struct {
 }
 
 // startScrubber launches the background loop; Stop joins it.
-func startScrubber(every time.Duration, bps int, h scrubHooks) *scrubber {
-	sc := &scrubber{every: every, bps: bps, h: h, stop: make(chan struct{}), done: make(chan struct{})}
+func startScrubber(every time.Duration, h scrubHooks) *scrubber {
+	sc := &scrubber{every: every, h: h, stop: make(chan struct{}), done: make(chan struct{})}
 	go sc.run()
 	return sc
 }
 
 func (sc *scrubber) run() {
 	defer close(sc.done)
-	wait := sc.every
 	for {
 		select {
 		case <-sc.stop:
 			return
-		case <-time.After(wait):
+		case <-time.After(sc.every):
 		}
-		wait = sc.every + sc.pass()
+		sc.pass()
 	}
 }
 
-// pass runs one verify-and-repair cycle and returns the extra delay the
-// bandwidth throttle asks for before the next pass.
-func (sc *scrubber) pass() time.Duration {
+// pass runs one verify-and-repair cycle.
+func (sc *scrubber) pass() {
 	e := sc.h.epoch()
 	corrupt, files, bytes, err := sc.h.verify()
 	sc.mu.Lock()
@@ -93,7 +89,7 @@ func (sc *scrubber) pass() time.Duration {
 	sc.mu.Unlock()
 	if err != nil {
 		sc.h.onErr(err)
-		return 0
+		return
 	}
 	// Act only if the file set is still the one we verified: a
 	// checkpoint or compaction mid-pass may have retired the files the
@@ -111,10 +107,6 @@ func (sc *scrubber) pass() time.Duration {
 			sc.mu.Unlock()
 		}
 	}
-	if sc.bps > 0 && bytes > 0 {
-		return time.Duration(float64(bytes) / float64(sc.bps) * float64(time.Second))
-	}
-	return 0
 }
 
 // Stats samples the lifetime counters.
