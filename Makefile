@@ -45,7 +45,7 @@ race:
 # checkpoints rotate the WAL (1000 more), and point stores — plus the
 # deterministic checkpoint/checkpointer/WAL/recovery tests.
 crash:
-	$(GO) test -race -count=1 -run 'TestCrashRecoverySchedules|TestAsyncCrashRecoverySchedules|TestPointCrashRecoverySchedules|TestDurable|TestLadderHydrate' ./serve
+	$(GO) test -race -count=1 -run 'TestCrashRecoverySchedules|TestAsyncCrashRecoverySchedules|TestPointCrashRecoverySchedules|TestDurable' ./serve
 
 # The self-healing suite (PR 8): 1100+ randomized kill-point schedules
 # crashing mid-compaction and mid-scrub with bit-flip media corruption

@@ -97,39 +97,6 @@ func TestLadderCompressedDifferential(t *testing.T) {
 	}
 }
 
-// TestLadderCompressedHydrate round-trips a compressed ladder through
-// Dehydrate/Rehydrate: the rebuilt levels must come back compressed
-// (the prototype supplies the options), shape-identical, and valid.
-func TestLadderCompressedHydrate(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	l := newCompLadder()
-	m := map[int]int64{}
-	for i := 0; i < 3*BufCap; i++ {
-		k := rng.Intn(500)
-		if rng.Intn(4) == 0 {
-			l = l.Delete(testBE, k)
-			delete(m, k)
-		} else {
-			l = l.Insert(testBE, k, int64(i), nil)
-			m[k] = int64(i)
-		}
-	}
-	st := l.Dehydrate(testBE)
-	rl, err := New[int, int64, testS, pam.NoAug[int, int64]](compProto()).Rehydrate(testBE, st)
-	if err != nil {
-		t.Fatalf("Rehydrate: %v", err)
-	}
-	ladderMustAgree(t, rl, m, "rehydrated")
-	rl.EachSide(func(sign int64, s testS) {
-		if !s.Tree().Compressed() {
-			t.Fatal("rehydrated level lost compression")
-		}
-	})
-	if got, want := rl.LevelRecordCounts(), l.CarryAll(testBE).LevelRecordCounts(); len(got) != len(want) {
-		t.Fatalf("rehydrated level count %d, want %d", len(got), len(want))
-	}
-}
-
 // FuzzDynamicLadder drives flat and compressed ladders through the
 // same byte-decoded op program (with a small flush cap, so carries
 // cascade constantly) against a map oracle.

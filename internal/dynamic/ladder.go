@@ -79,10 +79,6 @@ func (l Ladder[K, V, S, E]) Proto() S { return l.proto }
 // corrections.
 func (l Ladder[K, V, S, E]) Buf() Buffer[K, V, E] { return l.buf }
 
-// Levels returns the level vector, oldest records at the highest
-// index. Callers must treat it as read-only and skip empty levels.
-func (l Ladder[K, V, S, E]) Levels() []Level[S] { return l.levels }
-
 // EachSide visits every nonempty level structure, newest first, with
 // its sign: +1 for live entries, -1 for tombstones. Consumers sum
 // signed per-structure query answers — each structure answers in its
@@ -502,8 +498,7 @@ func (l Ladder[K, V, S, E]) OverflowRuns() int { return len(l.over) }
 
 // CarryAll synchronously folds every pending overflow run into the
 // levels (the write buffer stays buffered), returning a ladder with no
-// pending carries. Dehydrate uses it so checkpoints never record
-// overflow runs, and carriers use it to quiesce.
+// pending carries. Carriers use it to quiesce.
 func (l Ladder[K, V, S, E]) CarryAll(be *Backend[K, V, S]) Ladder[K, V, S, E] {
 	if len(l.over) == 0 {
 		return l

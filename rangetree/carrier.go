@@ -44,7 +44,3 @@ func (t Tree) InsertWith(c *Carrier, p Point, w int64) Tree {
 func (t Tree) DeleteWith(c *Carrier, p Point) Tree {
 	return Tree{lad: c.c.Delete(t.lad, p)}
 }
-
-// PendingCarries reports the number of spilled overflow runs not yet
-// carried into the levels (0 for trees written without a carrier).
-func (t Tree) PendingCarries() int { return t.lad.OverflowRuns() }

@@ -184,6 +184,18 @@ func (t Tree) Merge(other Tree) Tree {
 // Size returns the number of distinct points.
 func (t Tree) Size() int64 { return t.lad.Size() }
 
+// Points returns every point with its weight, sorted by (x, y). It
+// folds the ladder's buffer, overflow runs and levels in one merge
+// cascade, in O(n) time; Build(t.Points()) is t as a condensed tree.
+func (t Tree) Points() []Weighted {
+	entries := t.lad.Entries(backend)
+	out := make([]Weighted, len(entries))
+	for i, e := range entries {
+		out[i] = Weighted{Point: e.Key, W: e.Val}
+	}
+	return out
+}
+
 // Rect is a closed query rectangle.
 type Rect struct {
 	XLo, XHi float64

@@ -26,8 +26,8 @@ import (
 // implemented once; a flavour plugs in only its WAL op codec and its
 // checkpoint format (ckptFormat). There are two formats: DurableStore
 // writes the incremental PAMCKPT2 record chain described below, and
-// DurablePointStore writes standalone PAMPTCK2 ladder files, each file
-// its own base (durablepoints.go).
+// DurablePointStore writes standalone PAMPTCK3 files of every shard's
+// live points, each file its own base (durablepoints.go).
 //
 // On-disk layout (one flat FS namespace per store):
 //
@@ -81,8 +81,11 @@ import (
 //     deleted only after the new file is published, so a crash at any
 //     point leaves either the old chain whole or the new base
 //     recoverable.
-//   - WAL generations are flushed strictly in order, so recovery's
-//     stop-at-first-torn-record rule drops only unacknowledged batches.
+//   - WAL generations are flushed strictly in order, so only the newest
+//     generation can end in crash debris (a torn frame, or unwritten
+//     zeroed space), and the debris holds no acknowledged batch:
+//     recovery trims it. Any other bad frame is damage, and the open
+//     fails with ErrCorruptFile instead of dropping what follows it.
 
 // Errors recovery and the decoders return. All file parsing is
 // defensive: corrupt bytes yield an error, never a panic.
@@ -166,7 +169,8 @@ type CheckpointStats struct {
 	// incremental delta. After k updates to an n-entry store this is
 	// O(k · polylog n), not O(n): blocks shared with the previous
 	// checkpoint are referenced, not rewritten. For a compaction it is
-	// the full live record count.
+	// the full live record count. For a point store, whose every
+	// checkpoint is a base, it is the number of points written.
 	Records int
 	// Bytes is the checkpoint file's size.
 	Bytes int
@@ -193,6 +197,7 @@ type RecoveryStats struct {
 	// ChainRecords is the number of tree records decoded from the chain.
 	// After a compaction this is O(live records) regardless of how many
 	// updates the store ever processed — the bounded-recovery guarantee.
+	// For a point store it is the number of points decoded.
 	ChainRecords int
 	// WALBatches is the number of batches replayed from the log.
 	WALBatches int
@@ -553,7 +558,9 @@ func recoverChain[T any](fs FS, cf ckptFormat[T], ckpts []int, rec *RecoveryStat
 // openDurable opens (or creates) the durable core on cfg.FS: it sweeps
 // crash leftovers, loads the newest intact checkpoint chain
 // (quarantining corrupt files and falling back if needed), and replays
-// the WAL suffix through route and apply. It returns the recovered
+// the WAL suffix through route and apply. A damaged WAL record fails
+// the open with ErrCorruptFile, naming the generation and the record's
+// offset, and leaves the file as it is. It returns the recovered
 // shard states and the sequence number the store resumes at; the
 // caller builds its store on them with d.hooks() and then calls
 // d.start.
@@ -590,11 +597,13 @@ func openDurable[O, T any](cfg DurableConfig, enc opCodec[O], cf ckptFormat[T], 
 	}
 
 	// Replay the WAL generations from the last checkpoint on: batches
-	// must continue the sequence gaplessly; a torn tail ends replay and
-	// is trimmed so the resumed log appends onto a clean file.
+	// must continue the sequence gaplessly. Crash debris at the end of
+	// the newest generation ends replay and is trimmed, so the resumed
+	// log appends onto a clean file; anything else after the last good
+	// frame is damage, and the file is left as it is for inspection.
 	next = chain.seq
 	maxGen := chain.lastIdx
-	for _, g := range walGens {
+	for i, g := range walGens {
 		if g < chain.lastIdx {
 			continue // superseded by the checkpoint; awaiting removal
 		}
@@ -604,6 +613,9 @@ func openDurable[O, T any](cfg DurableConfig, enc opCodec[O], cf ckptFormat[T], 
 			return nil, nil, 0, err
 		}
 		batches, valid := decodeWALFile(enc, data)
+		if valid != len(data) && (i != len(walGens)-1 || !walDebris(data[valid:])) {
+			return nil, nil, 0, fmt.Errorf("%s: %w: damaged record at byte %d", walName(g), ErrCorruptFile, valid)
+		}
 		for _, b := range batches {
 			if b.seq != next {
 				return nil, nil, 0, fmt.Errorf("%s: %w: batch seq %d, want %d", walName(g), ErrCorruptFile, b.seq, next)
@@ -925,7 +937,7 @@ func (c *mapChain[K, V, A, E]) resume() ([]pam.AugMap[K, V, A, E], int, error) {
 // sequence point (rotating the WAL generation at exactly that point),
 // encodes them — a DurableStore writes only the tree records created
 // since the previous checkpoint, a DurablePointStore a standalone base
-// of every shard's ladder — publishes the file atomically, and then
+// of every shard's live points — publishes the file atomically, and then
 // drops the files it supersedes, keeping KeepGenerations WAL
 // generations (and, for point stores, as many older checkpoints) for
 // corruption fallback. Concurrent writes proceed; concurrent Checkpoint

@@ -1,14 +1,22 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"maps"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dynamic"
 	"repro/pam"
 	"repro/rangetree"
 )
@@ -406,9 +414,8 @@ func TestDurableCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDurablePointStoreRoundTrip checks the point store's full ladder
-// checkpoints and WAL replay across a clean restart, with a small flush
-// capacity so the checkpoint serializes a multi-level ladder mid-carry.
+// TestDurablePointStoreRoundTrip checks the point store's checkpoints
+// and WAL replay across a clean restart.
 func TestDurablePointStoreRoundTrip(t *testing.T) {
 	fs := NewMemFS()
 	open := func() *DurablePointStore {
@@ -464,43 +471,269 @@ func TestDurablePointStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLadderHydrateRoundTrip drives Dehydrate/Rehydrate directly: the
-// rebuilt tree must validate and preserve the exact level shapes.
-func TestLadderHydrateRoundTrip(t *testing.T) {
-	tr := rangetree.New(pam.Options{})
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 600; i++ {
-		p := rangetree.Point{X: float64(rng.Intn(32)), Y: float64(rng.Intn(32))}
-		if rng.Intn(5) == 0 {
-			tr = tr.Delete(p)
-		} else {
-			tr = tr.Insert(p, int64(1+rng.Intn(3)))
+// ptCkptFile frames a point checkpoint payload (everything between the
+// magic and the digest) as the encoder does, so crafted content passes
+// the CRC and digest checks and reaches the run decoder.
+func ptCkptFile(payload []byte) []byte {
+	file := append([]byte(ptCkptMagic), payload...)
+	digest := sha256.Sum256(file)
+	file = append(file, digest[:]...)
+	return binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(file))
+}
+
+// TestDurablePointCheckpointRejects hands the point checkpoint decoder
+// of a store split at x = 8 files whose integrity checks pass but whose
+// runs are not a point set the encoder could have written. Each must
+// fail with ErrCorruptFile, and none may panic.
+func TestDurablePointCheckpointRejects(t *testing.T) {
+	pt := func(x, y float64, w int64) rangetree.Weighted {
+		return rangetree.Weighted{Point: rangetree.Point{X: x, Y: y}, W: w}
+	}
+	// payload is seq 7, the shard count, and one run per argument.
+	payload := func(shards int, runs ...[]rangetree.Weighted) []byte {
+		p := binary.AppendUvarint(nil, 7)
+		p = binary.AppendUvarint(p, uint64(shards))
+		for _, run := range runs {
+			p = appendPointRun(p, run)
+		}
+		return p
+	}
+	good := []rangetree.Weighted{pt(1, 1, 3), pt(1, 2, -4), pt(2, 0, 5)}
+	proto := rangetree.New(pam.Options{})
+
+	seq, trees, records, err := decodePointCheckpoint(proto, []float64{8}, ptCkptFile(payload(2, good, nil)))
+	if err != nil || seq != 7 || records != 3 || !slices.Equal(trees[0].Points(), good) || trees[1].Size() != 0 {
+		t.Fatalf("valid file: seq %d, records %d, err %v", seq, records, err)
+	}
+
+	// A run claiming 1000 points over the bytes of one.
+	onePoint := appendPointRun(nil, good[:1])[1:]
+	overCount := append(binary.AppendUvarint(payload(2), 1000), onePoint...)
+	// A weight varint cut short: the continuation bit is set on the
+	// last byte of the file's last run.
+	cutVarint := payload(2, nil, []rangetree.Weighted{pt(9, 0, 3)})
+	cutVarint[len(cutVarint)-1] |= 0x80
+
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"x descending", payload(2, []rangetree.Weighted{pt(2, 0, 1), pt(1, 0, 1)}, nil)},
+		{"y descending at equal x", payload(2, nil, []rangetree.Weighted{pt(9, 2, 1), pt(9, 1, 1)})},
+		{"duplicate point", payload(2, []rangetree.Weighted{pt(1, 1, 1), pt(1, 1, 2)}, nil)},
+		{"NaN x", payload(2, nil, []rangetree.Weighted{pt(math.NaN(), 1, 1)})},
+		{"NaN y", payload(2, nil, []rangetree.Weighted{pt(9, 1, 1), pt(10, math.NaN(), 1)})},
+		{"count beyond the bytes", overCount},
+		{"weight varint cut short", cutVarint},
+		{"point right of its shard", payload(2, []rangetree.Weighted{pt(1, 1, 1), pt(8, 0, 1)}, nil)},
+		{"point left of its shard", payload(2, nil, []rangetree.Weighted{pt(7, 9, 1), pt(9, 0, 1)})},
+		{"trailing bytes", append(payload(2, good, nil), 0)},
+		{"missing shard run", payload(2, good)},
+		{"shard count mismatch", payload(3, good, nil, nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, _, err := decodePointCheckpoint(proto, []float64{8}, ptCkptFile(tc.payload)); !errors.Is(err, ErrCorruptFile) {
+				t.Fatalf("decode = %v, want ErrCorruptFile", err)
+			}
+		})
+	}
+}
+
+// pointWorkload runs a fixed mix of inserts and deletes through a
+// 2-shard durable point store on fs and returns the live points.
+func pointWorkload(t *testing.T, fs FS) (*DurablePointStore, map[rangetree.Point]int64) {
+	t.Helper()
+	d, err := OpenDurablePointStore(pam.Options{}, []float64{8}, DurableConfig{FS: fs})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	oracle := map[rangetree.Point]int64{}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 60; i++ {
+		ops := make([]PointOp, 8)
+		for j := range ops {
+			p := rangetree.Point{X: float64(rng.Intn(16)), Y: float64(rng.Intn(16))}
+			if rng.Intn(4) == 0 {
+				ops[j] = DeletePoint(p)
+				delete(oracle, p)
+			} else {
+				w := int64(1 + rng.Intn(5))
+				ops[j] = InsertPoint(p, w)
+				oracle[p] += w
+			}
+		}
+		if _, err := d.Apply(ops); err != nil {
+			t.Fatalf("Apply: %v", err)
 		}
 	}
-	st := tr.Dehydrate()
-	got, err := tr.Rehydrate(st)
+	return d, oracle
+}
+
+// TestDurablePointCheckpointFlushCap checks that a point checkpoint
+// stores the point set, not the ladder that holds it: the same writes,
+// checkpointed once under a flush capacity of 4 and once under the
+// default, leave differently shaped ladders but byte-identical files.
+func TestDurablePointCheckpointFlushCap(t *testing.T) {
+	run := func(flushCap int) (file []byte, shape []int64) {
+		old := dynamic.SetFlushCap(flushCap)
+		defer dynamic.SetFlushCap(old)
+		fs := NewMemFS()
+		d, _ := pointWorkload(t, fs)
+		defer d.Close()
+		v, err := d.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		cs, err := d.Checkpoint()
+		if err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		if file, err = fs.ReadFile(ckptName(cs.Index)); err != nil {
+			t.Fatalf("ReadFile: %v", err)
+		}
+		return file, v.Shard(0).LevelRecordCounts()
+	}
+	small, smallShape := run(4)
+	def, defShape := run(dynamic.BufCap)
+	if slices.Equal(smallShape, defShape) {
+		t.Fatalf("both flush capacities left ladder shape %v; the test needs different ones", defShape)
+	}
+	if !bytes.Equal(small, def) {
+		t.Fatalf("checkpoint files differ: %d bytes under flush cap 4, %d under the default", len(small), len(def))
+	}
+}
+
+// TestDurablePointReopenAcrossFlushCap compacts a point store under a
+// flush capacity of 4 and reopens it under the default. The compaction
+// dropped the WAL, so the checkpoint is the only copy of the points,
+// and the reopen must take it whole: every point, nothing quarantined.
+func TestDurablePointReopenAcrossFlushCap(t *testing.T) {
+	fs := NewMemFS()
+	old := dynamic.SetFlushCap(4)
+	restore := sync.OnceFunc(func() { dynamic.SetFlushCap(old) })
+	defer restore()
+	d, oracle := pointWorkload(t, fs)
+	if _, err := d.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	restore()
+
+	d2, err := OpenDurablePointStore(pam.Options{}, []float64{8}, DurableConfig{FS: NewMemFSFrom(fs.DurableState())})
 	if err != nil {
-		t.Fatalf("Rehydrate: %v", err)
+		t.Fatalf("reopen under the default flush cap: %v", err)
 	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("rehydrated tree invalid: %v", err)
+	defer d2.Close()
+	if rec := d2.Recovery(); len(rec.Quarantined) != 0 || rec.WALBatches != 0 || rec.ChainRecords != len(oracle) {
+		t.Fatalf("recovery %+v, want %d points from the checkpoint alone", rec, len(oracle))
 	}
-	if got.Size() != tr.Size() {
-		t.Fatalf("rehydrated Size = %d, want %d", got.Size(), tr.Size())
+	v, _ := d2.Snapshot()
+	got := map[rangetree.Point]int64{}
+	for _, p := range v.ReportAll(everything) {
+		got[p.Point] = p.W
 	}
-	if !slices.Equal(got.LevelRecordCounts(), tr.LevelRecordCounts()) {
-		t.Fatalf("level shapes diverged: %v vs %v", got.LevelRecordCounts(), tr.LevelRecordCounts())
+	if !maps.Equal(got, oracle) {
+		t.Fatalf("reopened store holds %d points, want %d", len(got), len(oracle))
 	}
-	w, g := tr.ReportAll(everything), got.ReportAll(everything)
-	if !slices.Equal(w, g) {
-		t.Fatalf("rehydrated contents diverged")
+	for i := 0; i < v.NumShards(); i++ {
+		if err := v.Shard(i).Validate(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
 	}
-	// A corrupt state (orphan tombstone) must be rejected.
-	bad := st
-	bad.BufDels = append([]pam.KV[rangetree.Point, int64](nil), bad.BufDels...)
-	bad.BufDels = append(bad.BufDels, pam.KV[rangetree.Point, int64]{Key: rangetree.Point{X: -99, Y: -99}, Val: 1})
-	if _, err := tr.Rehydrate(bad); err == nil {
-		t.Fatal("Rehydrate accepted a tombstone for a point that was never live")
+}
+
+// TestDurableWALDebrisAndDamage tells crash debris from damage at the
+// end of the newest WAL generation, on both flavours. Ten acknowledged
+// batches are reopened three ways. A flipped payload byte in the fifth
+// frame is damage: the open fails with ErrCorruptFile naming the file
+// and the frame's offset, and leaves the bytes as they were. A file cut
+// inside its last frame is a torn write: the nine batches before it
+// recover and the tail is trimmed. Zeros after the last frame are
+// unwritten space: all ten batches recover.
+func TestDurableWALDebrisAndDamage(t *testing.T) {
+	for _, fl := range durableFlavours {
+		t.Run(fl.name, func(t *testing.T) {
+			fs := NewMemFS()
+			d, err := fl.open(fs, 2, DurableConfig{})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			for i := uint64(0); i < 10; i++ {
+				if _, err := d.put(i, int64(i)+1); err != nil {
+					t.Fatalf("put: %v", err)
+				}
+			}
+			if err := d.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			state := fs.DurableState()
+			wal := state[walName(0)]
+			var frames []int // offset of each frame
+			for off := 0; off < len(wal); off += 8 + int(binary.LittleEndian.Uint32(wal[off:])) {
+				frames = append(frames, off)
+			}
+			if len(frames) != 10 {
+				t.Fatalf("%s holds %d frames, want 10", walName(0), len(frames))
+			}
+			reopen := func(data []byte) (*durableHandle, *MemFS, error) {
+				files := maps.Clone(state)
+				files[walName(0)] = data
+				fs2 := NewMemFSFrom(files)
+				d2, err := fl.open(fs2, 2, DurableConfig{})
+				return d2, fs2, err
+			}
+			// check reopens data and wants entries 0..n-1 and a WAL file
+			// trimmed to the end of the last of them.
+			check := func(data []byte, n int) {
+				t.Helper()
+				d2, fs2, err := reopen(data)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				defer d2.Close()
+				if _, got := d2.contents(); len(got) != n || (n > 0 && got[uint64(n-1)] != int64(n)) {
+					t.Fatalf("reopen recovered %v, want entries 0..%d", got, n-1)
+				}
+				if rec := d2.Recovery(); len(rec.Quarantined) != 0 || rec.Repaired {
+					t.Fatalf("recovery %+v reports damage in crash debris", rec)
+				}
+				end := len(wal)
+				if n < len(frames) {
+					end = frames[n]
+				}
+				if got, _ := fs2.ReadFile(walName(0)); !bytes.Equal(got, wal[:end]) {
+					t.Fatalf("%s is %d bytes after the reopen, want its %d-byte valid prefix", walName(0), len(got), end)
+				}
+			}
+
+			t.Run("flip", func(t *testing.T) {
+				bad := bytes.Clone(wal)
+				bad[frames[5]-1] ^= 0x01 // the last payload byte of the fifth frame
+				d2, fs2, err := reopen(bad)
+				if err == nil {
+					_, got := d2.contents()
+					d2.Close()
+					t.Fatalf("reopen succeeded with %d of 10 entries", len(got))
+				}
+				if !errors.Is(err, ErrCorruptFile) || !strings.Contains(err.Error(), walName(0)) ||
+					!strings.Contains(err.Error(), fmt.Sprintf("byte %d", frames[4])) {
+					t.Fatalf("reopen = %v, want ErrCorruptFile naming %s at byte %d", err, walName(0), frames[4])
+				}
+				if got, _ := fs2.ReadFile(walName(0)); !bytes.Equal(got, bad) {
+					t.Fatal("the failed reopen changed the damaged file")
+				}
+			})
+			t.Run("torn", func(t *testing.T) { check(wal[:len(wal)-3], 9) })
+			t.Run("zeroed", func(t *testing.T) {
+				zeroed := append(bytes.Clone(wal), make([]byte, 64)...)
+				if rep, err := VerifyFiles(NewMemFSFrom(map[string][]byte{walName(0): zeroed})); err != nil || len(rep.Corrupt) != 0 {
+					t.Fatalf("VerifyFiles on a zero-filled newest tail: %+v, %v", rep, err)
+				}
+				check(zeroed, 10)
+			})
+		})
 	}
 }
 

@@ -5,46 +5,43 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
-	"repro/internal/dynamic"
 	"repro/pam"
 	"repro/rangetree"
 )
 
-// dynLevelState is one serialized ladder rung (see rangetree.State).
-type dynLevelState = dynamic.LevelState[rangetree.Point, int64]
-
 // Durable PointStore: the durable core of durable.go — the same WAL,
 // recovery, retention, and scrub/repair lifecycle as DurableStore — with
-// the second checkpoint format, pointFormat: each file serializes every
-// shard's full ladder state (rangetree.State) instead of an incremental
-// record chain. The ladder's level structures are nested-augmentation
-// composites that are rebuilt by the parallel bulk Build on recovery,
-// preserving the exact rung boundaries (and so the amortization state
-// of the logarithmic method). Every point checkpoint is therefore a
-// standalone base: recovery decodes only the newest intact one
-// (quarantining corrupt ones and falling back to an older checkpoint
-// plus a longer WAL replay), a checkpoint drops the files it supersedes
-// minus the KeepGenerations fallback window, and CompactEvery never
-// fires (a base has nothing to compact).
+// the second checkpoint format, pointFormat: each file stores every
+// shard's live points, one sorted run per shard, instead of an
+// incremental record chain. A range tree is a function of its point
+// set, so recovery rebuilds each shard with the parallel bulk
+// rangetree.Tree.Build into a condensed ladder, as Build and Merge
+// return it. The ladder's shape is not stored: after a reopen,
+// LevelRecordCounts and Pending differ from their values before it,
+// while points, weights and every query answer are equal. Every point
+// checkpoint is therefore a standalone base: recovery decodes only the
+// newest intact one (quarantining corrupt ones and falling back to an
+// older checkpoint plus a longer WAL replay), a checkpoint drops the
+// files it supersedes minus the KeepGenerations fallback window, and
+// CompactEvery never fires (a base has nothing to compact).
 //
 // Checkpoint file format:
 //
-//	"PAMPTCK2" | uvarint seq | uvarint shards | shards × ladder state |
+//	"PAMPTCK3" | uvarint seq | uvarint shards | shards × run |
 //	32-byte sha256(everything before) | u32le crc32(everything before)
-//
-// with each ladder state encoded as
-//
-//	uvarint flushCap | run(bufAdds) | run(bufDels) |
-//	uvarint numLevels | numLevels × (run(adds) | run(dels))
 //	run: uvarint count | count × (f64le x | f64le y | varint w)
 //
-// The sha256 is the file's content digest — the point-store analogue of
-// the chain store's Merkle root: recomputed and verified on decode and
-// by the scrubber, reported in CheckpointStats.Digest as the
-// cross-replica comparison and external tamper-evidence anchor.
+// The points of a run are strictly ascending in the tree's (x, y)
+// order, no coordinate is NaN, and every point lies in its shard's x
+// range; the decoder rejects a file that breaks any of these rules. The sha256 is the file's content digest — the
+// point-store analogue of the chain store's Merkle root: recomputed and
+// verified on decode and by the scrubber, reported in
+// CheckpointStats.Digest as the cross-replica comparison and external
+// tamper-evidence anchor.
 
-const ptCkptMagic = "PAMPTCK2"
+const ptCkptMagic = "PAMPTCK3"
 
 // pointOpEnc encodes one PointOp for WAL records.
 var pointOpEnc = opCodec[PointOp]{
@@ -88,93 +85,50 @@ var pointOpEnc = opCodec[PointOp]{
 	},
 }
 
-func appendPointRun(buf []byte, run []pam.KV[rangetree.Point, int64]) []byte {
+func appendPointRun(buf []byte, run []rangetree.Weighted) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(run)))
-	for _, e := range run {
-		buf = pam.AppendFloat64(buf, e.Key.X)
-		buf = pam.AppendFloat64(buf, e.Key.Y)
-		buf = binary.AppendVarint(buf, e.Val)
+	for _, p := range run {
+		buf = pam.AppendFloat64(buf, p.X)
+		buf = pam.AppendFloat64(buf, p.Y)
+		buf = binary.AppendVarint(buf, p.W)
 	}
 	return buf
 }
 
-func pointRunAt(data []byte) ([]pam.KV[rangetree.Point, int64], int, error) {
+// pointRunAt decodes one run and checks that the encoder could have
+// written it: no NaN coordinate, and points strictly ascending by
+// (x, y), so none repeats.
+func pointRunAt(data []byte) ([]rangetree.Weighted, int, error) {
 	count, n := binary.Uvarint(data)
 	if n <= 0 {
 		return nil, 0, ErrCorruptFile
 	}
 	used := n
-	// Every entry is at least 17 bytes; a larger count is corruption,
+	// Every point is at least 17 bytes; a larger count is corruption,
 	// not an allocation request.
 	if count > uint64(len(data)-used)/17 {
 		return nil, 0, ErrCorruptFile
 	}
-	run := make([]pam.KV[rangetree.Point, int64], count)
+	run := make([]rangetree.Weighted, count)
 	for i := range run {
-		x, _, err := pam.Float64At(data[used:])
-		if err != nil {
-			return nil, 0, err
+		if len(data)-used < 17 {
+			return nil, 0, ErrCorruptFile
 		}
-		y, _, err := pam.Float64At(data[used+8:])
-		if err != nil {
-			return nil, 0, err
+		x := math.Float64frombits(binary.LittleEndian.Uint64(data[used:]))
+		y := math.Float64frombits(binary.LittleEndian.Uint64(data[used+8:]))
+		w, n := binary.Varint(data[used+16:])
+		if n <= 0 || math.IsNaN(x) || math.IsNaN(y) {
+			return nil, 0, ErrCorruptFile
 		}
-		w, n, err := pam.VarintAt(data[used+16:])
-		if err != nil {
-			return nil, 0, err
+		if i > 0 {
+			if prev := run[i-1]; !(prev.X < x || prev.X == x && prev.Y < y) {
+				return nil, 0, ErrCorruptFile
+			}
 		}
-		run[i] = pam.KV[rangetree.Point, int64]{Key: rangetree.Point{X: x, Y: y}, Val: w}
+		run[i] = rangetree.Weighted{Point: rangetree.Point{X: x, Y: y}, W: w}
 		used += 16 + n
 	}
 	return run, used, nil
-}
-
-func appendLadderState(buf []byte, st rangetree.State) []byte {
-	buf = binary.AppendUvarint(buf, uint64(st.FlushCap))
-	buf = appendPointRun(buf, st.BufAdds)
-	buf = appendPointRun(buf, st.BufDels)
-	buf = binary.AppendUvarint(buf, uint64(len(st.Levels)))
-	for _, lv := range st.Levels {
-		buf = appendPointRun(buf, lv.Adds)
-		buf = appendPointRun(buf, lv.Dels)
-	}
-	return buf
-}
-
-func ladderStateAt(data []byte) (rangetree.State, int, error) {
-	var st rangetree.State
-	cap64, n := binary.Uvarint(data)
-	if n <= 0 || cap64 > 1<<31 {
-		return st, 0, ErrCorruptFile
-	}
-	st.FlushCap = int64(cap64)
-	used := n
-	var err error
-	if st.BufAdds, n, err = pointRunAt(data[used:]); err != nil {
-		return st, 0, err
-	}
-	used += n
-	if st.BufDels, n, err = pointRunAt(data[used:]); err != nil {
-		return st, 0, err
-	}
-	used += n
-	numLevels, n := binary.Uvarint(data[used:])
-	if n <= 0 || numLevels > uint64(len(data)-used) {
-		return st, 0, ErrCorruptFile
-	}
-	used += n
-	st.Levels = make([]dynLevelState, numLevels)
-	for i := range st.Levels {
-		if st.Levels[i].Adds, n, err = pointRunAt(data[used:]); err != nil {
-			return st, 0, err
-		}
-		used += n
-		if st.Levels[i].Dels, n, err = pointRunAt(data[used:]); err != nil {
-			return st, 0, err
-		}
-		used += n
-	}
-	return st, used, nil
 }
 
 // ptCkptSeq parses just a point checkpoint's magic and sequence number,
@@ -186,15 +140,6 @@ func ptCkptSeq(data []byte) (uint64, bool) {
 	}
 	seq, n := binary.Uvarint(data[len(ptCkptMagic):])
 	return seq, n > 0
-}
-
-// ladderRecords counts the ladder records one shard state serializes.
-func ladderRecords(st rangetree.State) int {
-	n := len(st.BufAdds) + len(st.BufDels)
-	for _, lv := range st.Levels {
-		n += len(lv.Adds) + len(lv.Dels)
-	}
-	return n
 }
 
 // ptCkptBody is the codec-independent integrity check of one point
@@ -215,10 +160,11 @@ func ptCkptBody(data []byte) ([]byte, error) {
 	return payload[len(ptCkptMagic):], nil
 }
 
-// decodePointCheckpoint decodes one standalone point checkpoint file,
-// verifying the CRC and the whole-file digest, and returns its sequence
-// number, shard trees, and ladder record count.
-func decodePointCheckpoint(proto rangetree.Tree, shards int, data []byte) (uint64, []rangetree.Tree, int, error) {
+// decodePointCheckpoint decodes one standalone point checkpoint file of
+// a store partitioned at splits, verifying the CRC and the whole-file
+// digest, and returns its sequence number, the shard trees rebuilt from
+// their points, and the point count.
+func decodePointCheckpoint(proto rangetree.Tree, splits []float64, data []byte) (uint64, []rangetree.Tree, int, error) {
 	p, err := ptCkptBody(data)
 	if err != nil {
 		return 0, nil, 0, err
@@ -233,37 +179,40 @@ func decodePointCheckpoint(proto rangetree.Tree, shards int, data []byte) (uint6
 		return 0, nil, 0, ErrCorruptFile
 	}
 	p = p[n:]
+	shards := len(splits) + 1
 	if nShards != uint64(shards) {
 		return 0, nil, 0, fmt.Errorf("%w: checkpoint has %d shards, store has %d", ErrCorruptFile, nShards, shards)
 	}
-	states := make([]rangetree.Tree, shards)
-	records := 0
-	for i := range states {
-		st, used, err := ladderStateAt(p)
+	route := pointRouter(splits)
+	runs := make([][]rangetree.Weighted, shards)
+	for i := range runs {
+		run, used, err := pointRunAt(p)
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		p = p[used:]
-		// Rehydrate rebuilds per level and validates the ladder
-		// invariants, so a crafted file cannot produce a broken tree.
-		t, err := proto.Rehydrate(st)
-		if err != nil {
-			return 0, nil, 0, err
+		// A run ascends by x, so its two ends bound its x range.
+		if len(run) > 0 && (route(PointOp{P: run[0].Point}) != i || route(PointOp{P: run[len(run)-1].Point}) != i) {
+			return 0, nil, 0, ErrCorruptFile
 		}
-		states[i] = t
-		records += ladderRecords(st)
+		runs[i], p = run, p[used:]
 	}
 	if len(p) != 0 {
 		return 0, nil, 0, ErrCorruptFile
 	}
-	return seq, states, records, nil
+	trees := make([]rangetree.Tree, shards)
+	records := 0
+	for i, run := range runs {
+		trees[i] = proto.Build(run)
+		records += len(run)
+	}
+	return seq, trees, records, nil
 }
 
-// pointFormat is DurablePointStore's ckptFormat: standalone PAMPTCK2
+// pointFormat is DurablePointStore's ckptFormat: standalone PAMPTCK3
 // files, each its own base, so it keeps no chain state.
 type pointFormat struct {
 	opts   pam.Options
-	shards int
+	splits []float64
 }
 
 func (pointFormat) header(data []byte) (uint64, bool, bool) {
@@ -277,9 +226,9 @@ func (pointFormat) encode(states []rangetree.Tree, seq uint64, _ bool) ([]byte, 
 	file = binary.AppendUvarint(file, uint64(len(states)))
 	records := 0
 	for _, t := range states {
-		st := t.Dehydrate()
-		records += ladderRecords(st)
-		file = appendLadderState(file, st)
+		pts := t.Points()
+		records += len(pts)
+		file = appendPointRun(file, pts)
 	}
 	digest := sha256.Sum256(file)
 	file = append(file, digest[:]...)
@@ -289,7 +238,7 @@ func (pointFormat) encode(states []rangetree.Tree, seq uint64, _ bool) ([]byte, 
 }
 
 func (f pointFormat) decode() chainDecoder[rangetree.Tree] {
-	c := &pointChain{proto: rangetree.New(f.opts), states: make([]rangetree.Tree, f.shards)}
+	c := &pointChain{proto: rangetree.New(f.opts), splits: f.splits, states: make([]rangetree.Tree, len(f.splits)+1)}
 	for i := range c.states {
 		c.states[i] = rangetree.New(f.opts)
 	}
@@ -306,12 +255,13 @@ func (pointFormat) check() func([]byte) error {
 // pointChain decodes a point checkpoint chain, which is a single base.
 type pointChain struct {
 	proto   rangetree.Tree
+	splits  []float64
 	states  []rangetree.Tree
 	records int
 }
 
 func (c *pointChain) next(data []byte) (uint64, error) {
-	seq, states, records, err := decodePointCheckpoint(c.proto, len(c.states), data)
+	seq, states, records, err := decodePointCheckpoint(c.proto, c.splits, data)
 	if err == nil {
 		c.states, c.records = states, records
 	}
@@ -321,15 +271,14 @@ func (c *pointChain) next(data []byte) (uint64, error) {
 func (c *pointChain) resume() ([]rangetree.Tree, int, error) { return c.states, c.records, nil }
 
 // DurablePointStore is a PointStore made durable by the engine
-// DurableStore uses — the WAL and full ladder checkpoints. The same
-// opts and splits must be passed at every reopen. See DurableStore for
-// the acknowledgment and recovery guarantees — they are identical,
-// including quarantine, fallback, and scrub/repair. Apply, ApplyAsync,
-// Insert, InsertAsync, Delete, DeleteAsync, Snapshot, ReaderView,
-// Stats, Splits, PendingCarries, and NumShards are the embedded
-// PointStore's; through the durable
-// engine a future resolves, and Apply returns nil, only after the
-// batch's WAL record is fsynced.
+// DurableStore uses — the WAL and checkpoints of every shard's live
+// points. The same opts and splits must be passed at every reopen. See
+// DurableStore for the acknowledgment and recovery guarantees — they
+// are identical, including quarantine, fallback, and scrub/repair.
+// Apply, ApplyAsync, Insert, InsertAsync, Delete, DeleteAsync,
+// Snapshot, ReaderView, Stats, Splits, and NumShards are the embedded
+// PointStore's; through the durable engine a future resolves, and
+// Apply returns nil, only after the batch's WAL record is fsynced.
 type DurablePointStore struct {
 	*pointStore
 	*durable[PointOp, rangetree.Tree]
@@ -343,7 +292,7 @@ type DurablePointStore struct {
 // CompactEvery is ignored: point checkpoints are already full rewrites,
 // so every checkpoint bounds recovery the way a compaction does.
 func OpenDurablePointStore(opts pam.Options, splits []float64, cfg DurableConfig) (*DurablePointStore, error) {
-	cf := pointFormat{opts: opts, shards: len(splits) + 1}
+	cf := pointFormat{opts: opts, splits: splits}
 	d, states, next, err := openDurable(cfg, pointOpEnc, cf, pointRouter(splits), applyPointOps)
 	if err != nil {
 		return nil, err

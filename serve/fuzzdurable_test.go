@@ -99,7 +99,7 @@ func mutations(valid []byte) [][]byte {
 }
 
 // FuzzCheckpointDecode throws arbitrary bytes at both checkpoint
-// decoders (store chain files and point-store ladder files).
+// decoders (store chain files and point-store point files).
 func FuzzCheckpointDecode(f *testing.F) {
 	ckpt, _, ptCkpt := durableCorpus(f)
 	for _, m := range mutations(ckpt) {
@@ -129,12 +129,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 				}
 			}
 		}
-		if _, trees, _, err := decodePointCheckpoint(proto, 2, data); err == nil {
+		if _, trees, _, err := decodePointCheckpoint(proto, []float64{8}, data); err == nil {
 			for _, tr := range trees {
-				// decodePointCheckpoint rehydrates through the ladder
-				// validator, so success means a checked structure.
+				// decodePointCheckpoint builds only from checked runs, so
+				// success means a valid tree.
 				if err := tr.Validate(); err != nil {
-					t.Fatalf("point decoder accepted an invalid ladder: %v", err)
+					t.Fatalf("point decoder built an invalid tree: %v", err)
 				}
 				_ = tr.ReportAll(everything)
 			}
@@ -206,8 +206,9 @@ func FuzzCompactDecode(f *testing.F) {
 
 // FuzzWALDecode throws arbitrary bytes at the WAL record parser with
 // both op codecs. The parser's contract is prefix semantics: it returns
-// the batches of the longest valid prefix and its length, treating
-// everything after the first torn or corrupt record as crash debris.
+// the batches of the longest valid prefix and its length. Whether what
+// follows is crash debris or damage is walDebris's call, not the
+// parser's.
 func FuzzWALDecode(f *testing.F) {
 	_, wal, _ := durableCorpus(f)
 	for _, m := range mutations(wal) {

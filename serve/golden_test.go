@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dynamic"
 	"repro/pam"
 	"repro/rangetree"
 )
@@ -28,9 +27,6 @@ import (
 // retention) change and must be deliberate; the failure message prints
 // the table the code now produces.
 func TestDurableFormatGolden(t *testing.T) {
-	old := dynamic.SetFlushCap(8) // multi-level ladders in the point checkpoints
-	defer dynamic.SetFlushCap(old)
-
 	const batches, ckptEvery, tail = 26, 6, 4
 	mapRun := func(opts pam.Options, oneOp bool) [2]map[string]string {
 		fs := NewMemFS()
@@ -234,13 +230,13 @@ var goldenMapCompressedOneOp = [2]map[string]string{
 
 var goldenPoints = [2]map[string]string{
 	{ // before compaction
-		"ckpt-000003": "42147ea78380a4d06dca492c6f6616fc913db4fa3ce727a9a6e8ab3a33aebbd7",
-		"ckpt-000004": "facf2ce53b4fb38e40c33fec67fd768b34ef7259aa24ed3a1cbaba582793836d",
+		"ckpt-000003": "fa197ea462cff38df7ff21e21106771230a88ff903356c3cbb6f25754a59f26d",
+		"ckpt-000004": "1c8f80ba18322b0f2c15647972480a1e30b1f0c6640afb68232987cd4d116136",
 		"wal-000003":  "d2e7a14cd2ab9c73f6f4b243fa3c66aeb6774dd280693ecdf1c5bc3b097ab986",
 		"wal-000004":  "463e50bddefab2423f69827369b87f7e5eb9c092f65b1353ccb1f0c05b2206ed",
 	},
 	{ // after compaction
-		"ckpt-000005": "011a0a71374d6f04a067ffb77c48227476eb4b92fe83fd19a6c6bda4fe8f0e8c",
+		"ckpt-000005": "1a934255f21ef2595f918b550481ae0d9dc74f5bd1a982060a1c7f6bfe3768fe",
 		"wal-000005":  "32267caa6e3ad141abae22f6aa0301bd2942838474fde5459f932b28a7122138",
 	},
 }

@@ -229,18 +229,6 @@ func (s *PointStore) Splits() []float64 {
 	return append([]float64(nil), (*s.splits.Load())...)
 }
 
-// PendingCarries sums the per-shard overflow runs awaiting a background
-// carry, sampled from the last published replica states (always 0 when
-// Tuning.CarryWorkers is 0).
-func (s *PointStore) PendingCarries() int {
-	p := s.eng.pub.Load()
-	var n int
-	for _, t := range p.states {
-		n += t.PendingCarries()
-	}
-	return n
-}
-
 // NumShards returns the partition count.
 func (s *PointStore) NumShards() int { return s.eng.numShards() }
 
@@ -254,12 +242,6 @@ func (s *PointStore) Close() {
 	}
 }
 
-// everything is the whole plane.
-var everything = rangetree.Rect{
-	XLo: math.Inf(-1), XHi: math.Inf(1),
-	YLo: math.Inf(-1), YHi: math.Inf(1),
-}
-
 // Rebalance re-splits the x partitions so shard point counts are as
 // equal as the distinct x coordinates allow (routing is by x, so
 // points sharing an x can never be split across shards), rebuilding
@@ -271,13 +253,13 @@ func (s *PointStore) Rebalance() (bool, error) {
 		n := len(states)
 		var pts []rangetree.Weighted
 		for _, t := range states {
-			pts = append(pts, t.ReportAll(everything)...)
+			pts = append(pts, t.Points()...)
 		}
 		if len(pts) == 0 || n == 1 {
 			return states, nil
 		}
-		// states are ascending x ranges and ReportAll sorts by (x, y),
-		// so pts is globally sorted; split j at rank j*len/n, advanced
+		// states are ascending x ranges and Points sorts by (x, y), so
+		// pts is globally sorted; split j at rank j*len/n, advanced
 		// past any x already used so splits stay strictly increasing
 		// (a dominant x value would otherwise produce duplicate splits
 		// and unroutable empty shards).

@@ -577,9 +577,9 @@ func TestServeStressCarries(t *testing.T) {
 }
 
 // TestDurablePointsCarryWorkers checks the durability interplay:
-// checkpoints taken while background carries are pending must settle
-// the captured ladders (Dehydrate CarryAlls), and a reopened store
-// replays to the same contents.
+// checkpoints taken while background carries are pending must store
+// every point of the captured ladders, overflow runs included, and a
+// reopened store replays to the same contents.
 func TestDurablePointsCarryWorkers(t *testing.T) {
 	old := dynamic.SetFlushCap(3)
 	defer dynamic.SetFlushCap(old)

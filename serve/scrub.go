@@ -136,8 +136,9 @@ type VerifyReport struct {
 // store's directory: checkpoint magic, CRC, header framing, and chain
 // continuity (each file's firstID must continue the previous file's
 // records, restarting at each base); point-store checkpoint CRC and
-// whole-file digest; WAL record framing (a torn tail is tolerated only
-// in the newest generation, where a crash legitimately leaves one).
+// whole-file digest; WAL record framing (crash debris — a torn frame,
+// or zeroed unwritten space — is tolerated only at the end of the
+// newest generation, where a crash legitimately leaves it).
 // It reads but never modifies files, and needs no key/value codec — it
 // cannot verify Merkle record digests (DurableStore.Verify does), but
 // any structural or checksum damage is reported. cmd/pamverify is its
@@ -209,8 +210,9 @@ func verifyCkptStructure(data []byte, nextID *uint64, haveChain *bool) bool {
 }
 
 // verifyWALFraming checks that data is a sequence of complete,
-// checksummed WAL records; when allowTorn, a trailing torn record is
-// accepted (the newest generation after a crash without recovery).
+// checksummed WAL records; when allowTorn, trailing crash debris (see
+// walDebris) is accepted (the newest generation after a crash without
+// recovery).
 func verifyWALFraming(data []byte, allowTorn bool) bool {
 	valid := 0
 	for {
@@ -218,17 +220,11 @@ func verifyWALFraming(data []byte, allowTorn bool) bool {
 		if len(rest) == 0 {
 			return true
 		}
-		if len(rest) < 8 {
+		if walDebris(rest) {
 			return allowTorn
 		}
 		plen := int(binary.LittleEndian.Uint32(rest))
-		crc := binary.LittleEndian.Uint32(rest[4:])
-		if plen < 0 || len(rest)-8 < plen {
-			return allowTorn
-		}
-		if crc32.ChecksumIEEE(rest[8:8+plen]) != crc {
-			// A torn write lands a prefix, never a complete frame with
-			// wrong bytes — a full frame failing its checksum is damage.
+		if crc32.ChecksumIEEE(rest[8:8+plen]) != binary.LittleEndian.Uint32(rest[4:]) {
 			return false
 		}
 		valid += 8 + plen

@@ -592,7 +592,7 @@ func TestPointCheckpointTamper(t *testing.T) {
 			data := state[name]
 			data[len(ptCkptMagic)+2] ^= 0x01
 			binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
-			if _, _, _, derr := decodePointCheckpoint(rangetree.New(pam.Options{}), 2, data); !errors.Is(derr, ErrDigestMismatch) {
+			if _, _, _, derr := decodePointCheckpoint(rangetree.New(pam.Options{}), []float64{8}, data); !errors.Is(derr, ErrDigestMismatch) {
 				t.Fatalf("decode of CRC-repaired tamper = %v, want ErrDigestMismatch", derr)
 			}
 
@@ -970,8 +970,9 @@ func TestScrubCrashSchedules(t *testing.T) {
 
 // TestVerifyFilesStructural drives the codec-independent VerifyFiles
 // (the pamverify entry point): clean directories verify clean, flips in
-// checkpoints and sealed WAL generations are named, and a torn tail in
-// the newest generation is tolerated while mid-file damage is not.
+// checkpoints and sealed WAL generations are named, and crash debris
+// (a torn tail, or zeros) is tolerated at the end of the newest
+// generation only.
 func TestVerifyFilesStructural(t *testing.T) {
 	fs := NewMemFS()
 	d, err := openDurSum(fs, 2, 0)
@@ -1014,6 +1015,21 @@ func TestVerifyFilesStructural(t *testing.T) {
 		if err != nil || len(rep.Corrupt) != 0 {
 			t.Fatalf("torn newest generation flagged: %+v, %v", rep, err)
 		}
+	}
+
+	// Zeros after the last frame of an OLDER generation are damage: only
+	// the newest generation can end in unwritten space.
+	if len(gens) < 2 {
+		t.Fatalf("want at least two WAL generations, have %v", gens)
+	}
+	zeroed := map[string][]byte{}
+	for k, v := range state {
+		zeroed[k] = bytes.Clone(v)
+	}
+	first := walName(gens[0])
+	zeroed[first] = append(zeroed[first], make([]byte, 16)...)
+	if rep, err := VerifyFiles(NewMemFSFrom(zeroed)); err != nil || len(rep.Corrupt) != 1 || rep.Corrupt[0] != first {
+		t.Fatalf("zero-filled tail in %s: VerifyFiles reported %+v, %v", first, rep, err)
 	}
 
 	// A flipped checkpoint bit is named.

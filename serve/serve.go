@@ -113,8 +113,9 @@
 // Tuning.MaxPendingCarries bounds the spilled-run backlog per shard
 // (writers briefly block past it), and a Rebalance invalidates
 // in-flight carries so no merge from a discarded ladder ever installs
-// into the replacement. Checkpoints settle pending runs in the captured
-// (immutable) states, so durability is unaffected.
+// into the replacement. A checkpoint stores the points of the captured
+// (immutable) states, whose merge cascade folds pending runs in, so
+// durability is unaffected.
 //
 // # Limits
 //
@@ -138,8 +139,9 @@
 // retention, the compaction policy, and scrub/repair are implemented
 // once. The flavours differ only in their WAL op codec and their
 // checkpoint format: DurableStore writes an incremental chain of block
-// records with Merkle root digests, DurablePointStore standalone
-// full-ladder files, each its own base, with a whole-file digest. See
+// records with Merkle root digests, DurablePointStore standalone files
+// of every shard's live points, each its own base, with a whole-file
+// digest. See
 // durable.go for the engine, the file formats, and the recovery
 // protocol, and durablepoints.go for the point format. The compaction
 // crash-safety contract:

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -19,6 +20,12 @@ type kvop = Op[uint64, int64]
 // mixHash is the shard hash used throughout the tests: the shared
 // splitmix64 finalizer.
 var mixHash = seq.Mix64
+
+// everything is the whole plane.
+var everything = rangetree.Rect{
+	XLo: math.Inf(-1), XHi: math.Inf(1),
+	YLo: math.Inf(-1), YHi: math.Inf(1),
+}
 
 func newHash(t testing.TB, shards int) *sumStore {
 	s, err := NewHashStore[uint64, int64, int64, pam.SumEntry[uint64, int64]](pam.Options{}, shards, mixHash)

@@ -28,8 +28,9 @@ import (
 // and before checkpoint g+1. Generations are flushed strictly in order
 // — generation g is fully written, fsynced, and closed before any byte
 // of g+1 reaches the filesystem — so a record's durability implies the
-// durability of every earlier record across files, and recovery's
-// stop-at-first-torn-record rule can never drop an acknowledged batch.
+// durability of every earlier record across files, and only the newest
+// generation can end in crash debris (walDebris), which holds no
+// acknowledged batch.
 
 // opCodec encodes and decodes one op type for WAL records.
 type opCodec[O any] struct {
@@ -235,26 +236,22 @@ type walBatch[O any] struct {
 
 // decodeWALFile parses complete, checksummed records from the front of
 // one generation file and returns them with the length of the valid
-// prefix. Parsing stops at the first torn or corrupt record — the
-// crash-truncated tail; the generation-ordered flush discipline
-// guarantees nothing acknowledged follows it. Arbitrary bytes produce
-// at worst fewer batches, never a panic or a corrupt batch (the CRC
-// guards every accepted record).
+// prefix. Parsing stops at the first record that is torn, zeroed,
+// fails its checksum, or does not decode; walDebris then tells crash
+// debris from damage. Arbitrary bytes produce at worst fewer batches,
+// never a panic or a corrupt batch (the CRC guards every accepted
+// record).
 func decodeWALFile[O any](enc opCodec[O], data []byte) ([]walBatch[O], int) {
 	var out []walBatch[O]
 	valid := 0
 	for {
 		rest := data[valid:]
-		if len(rest) < 8 {
+		if walDebris(rest) {
 			return out, valid
 		}
 		plen := int(binary.LittleEndian.Uint32(rest))
-		crc := binary.LittleEndian.Uint32(rest[4:])
-		if plen < 0 || len(rest)-8 < plen {
-			return out, valid
-		}
 		payload := rest[8 : 8+plen]
-		if crc32.ChecksumIEEE(payload) != crc {
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:]) {
 			return out, valid
 		}
 		b, err := decodeWALPayload(enc, payload)
@@ -264,6 +261,20 @@ func decodeWALFile[O any](enc opCodec[O], data []byte) ([]walBatch[O], int) {
 		out = append(out, b)
 		valid += 8 + plen
 	}
+}
+
+// walDebris reports whether rest, the bytes of a WAL generation from
+// some frame boundary on, begins with what a crash leaves behind rather
+// than with a complete frame: nothing, an incomplete frame, or
+// unwritten space, which starts with an all-zero header (the WAL never
+// writes an empty payload). A torn write lands a prefix, never a
+// complete frame with wrong bytes, so a complete frame that fails its
+// checksum or does not decode is damage.
+func walDebris(rest []byte) bool {
+	if len(rest) < 8 || binary.LittleEndian.Uint64(rest) == 0 {
+		return true
+	}
+	return uint64(len(rest)-8) < uint64(binary.LittleEndian.Uint32(rest))
 }
 
 func decodeWALPayload[O any](enc opCodec[O], payload []byte) (walBatch[O], error) {

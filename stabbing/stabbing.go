@@ -304,12 +304,6 @@ func (m Map) Pending() int64 { return m.lad.Pending() }
 // (diagnostics for the geometric-growth tests).
 func (m Map) LevelRecordCounts() []int64 { return m.lad.LevelRecordCounts() }
 
-// PendingCarries reports the ladder's spilled overflow runs not yet
-// carried into the levels (always 0 here: stabbing has no deferred
-// write path yet, but queries already answer exactly over {buffer +
-// overflow runs + levels}, so a future carrier needs no query changes).
-func (m Map) PendingCarries() int { return m.lad.OverflowRuns() }
-
 // Contains reports whether the rectangle is present.
 func (m Map) Contains(r Rect) bool { return m.lad.Contains(backend, r) }
 
