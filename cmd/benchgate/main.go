@@ -136,7 +136,7 @@ func main() {
 	var (
 		basePath   = flag.String("base", "", "baseline JSON (committed BENCH_PRn.json or a fresh base-ref run)")
 		headPath   = flag.String("head", "", "head JSON to check")
-		gateList   = flag.String("gate", "rangesum_build,rangesum_query,union_equal,find,serve_write_async_4shard,recovery_replay,recovery_replay_compacted,update_tail_p99,replica_read_throughput,block_scan_throughput,block_scan_throughput_compressed,multiinsert_small_par2", "comma-separated ops gated on regression")
+		gateList   = flag.String("gate", "rangesum_build,rangesum_query,union_equal,find,serve_write_async_4shard,recovery_replay,recovery_replay_compacted,update_tail_p99,replica_read_throughput,block_scan_throughput,block_scan_throughput_compressed,multiinsert_small_par2,multiinsert_small_compressed", "comma-separated ops gated on regression")
 		maxRegress = flag.Float64("max-regress", 0.25, "maximum tolerated relative regression for gated ops")
 		minGateNs  = flag.Float64("min-gate-ns", 1000, "ns/op floor below which gated ops are checked on allocs only (sub-microsecond wall times are scheduler noise on shared CI runners)")
 	)

@@ -92,7 +92,7 @@ func (o *ops[K, V, A, T]) leafInsert(t *node[K, V, A], k K, v V, h func(old, new
 	all = append(all, Entry[K, V]{Key: k, Val: v})
 	all = append(all, t.items[i:]...)
 	o.dec(t)
-	return o.twoBlockNode(all)
+	return o.twoBlockNode(all, packHint{})
 }
 
 // leafInsertPacked is leafInsert for a compressed block: decode into a
@@ -118,8 +118,9 @@ func (o *ops[K, V, A, T]) leafInsertPacked(t *node[K, V, A], k K, v V, h func(ol
 	items = append(items, Entry[K, V]{})
 	copy(items[i+1:], items[i:])
 	items[i] = Entry[K, V]{Key: k, Val: v}
+	hint := packHintOf(t)
 	o.dec(t)
-	return o.twoBlockNode(items)
+	return o.twoBlockNode(items, hint)
 }
 
 // remove deletes k from t (consumed) if present.

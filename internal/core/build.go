@@ -23,19 +23,27 @@ func (o *ops[K, V, A, T]) build(items []Entry[K, V], h func(old, new V) V) *node
 	if len(items) == 0 {
 		return nil
 	}
+	return o.buildSorted(o.sortedBatch(items, h))
+}
+
+// sortedBatch returns a copy of items sorted by key (stable, in
+// parallel) with duplicate keys combined left-to-right by h (nil h keeps
+// the last value). Its closures capture the traits rather than o: the
+// sort hands them to forked tasks, which would move o to the heap.
+func (o *ops[K, V, A, T]) sortedBatch(items []Entry[K, V], h func(old, new V) V) []Entry[K, V] {
+	tr := o.tr
 	s := make([]Entry[K, V], len(items))
 	copy(s, items)
-	seq.SortStable(s, func(a, b Entry[K, V]) bool { return o.tr.Less(a.Key, b.Key) })
+	seq.SortStable(s, func(a, b Entry[K, V]) bool { return tr.Less(a.Key, b.Key) })
 	if h == nil {
 		h = func(_, new V) V { return new }
 	}
 	eq := func(a, b Entry[K, V]) bool {
-		return !o.tr.Less(a.Key, b.Key) && !o.tr.Less(b.Key, a.Key)
+		return !tr.Less(a.Key, b.Key) && !tr.Less(b.Key, a.Key)
 	}
-	s = seq.DedupSortedBy(s, eq, func(acc, next Entry[K, V]) Entry[K, V] {
+	return seq.DedupSortedBy(s, eq, func(acc, next Entry[K, V]) Entry[K, V] {
 		return Entry[K, V]{Key: acc.Key, Val: h(acc.Val, next.Val)}
 	})
-	return o.buildSorted(s)
 }
 
 // buildSorted constructs a tree from strictly-increasing entries (BUILD'
@@ -57,11 +65,17 @@ func (o *ops[K, V, A, T]) buildSorted(s []Entry[K, V]) *node[K, V, A] {
 	lb := blocks / 2
 	inBlocks := n - (blocks - 1) // entries living in blocks, not pivots
 	mid := inBlocks*lb/blocks + (lb - 1)
-	var l, r *node[K, V, A]
-	parallel.DoIf(int64(len(s)) > o.grainSize(),
-		func() { l = o.buildSorted(s[:mid]) },
-		func() { r = o.buildSorted(s[mid+1:]) },
-	)
+	if o.forks(int64(len(s))) {
+		var l, r *node[K, V, A]
+		fo := o.forked()
+		parallel.Do(
+			func() { l = o.buildSorted(s[:mid]) },
+			func() { r = fo.buildSorted(s[mid+1:]) },
+		)
+		return o.joinKV(l, s[mid].Key, s[mid].Val, r)
+	}
+	l := o.buildSorted(s[:mid])
+	r := o.buildSorted(s[mid+1:])
 	return o.joinKV(l, s[mid].Key, s[mid].Val, r)
 }
 
@@ -74,23 +88,20 @@ func (o *ops[K, V, A, T]) multiInsert(t *node[K, V, A], items []Entry[K, V], h f
 	if len(items) == 0 {
 		return t
 	}
-	s := make([]Entry[K, V], len(items))
-	copy(s, items)
-	seq.SortStable(s, func(a, b Entry[K, V]) bool { return o.tr.Less(a.Key, b.Key) })
-	hh := h
-	if hh == nil {
-		hh = func(_, new V) V { return new }
-	}
-	eq := func(a, b Entry[K, V]) bool {
-		return !o.tr.Less(a.Key, b.Key) && !o.tr.Less(b.Key, a.Key)
-	}
-	s = seq.DedupSortedBy(s, eq, func(acc, next Entry[K, V]) Entry[K, V] {
-		return Entry[K, V]{Key: acc.Key, Val: hh(acc.Val, next.Val)}
-	})
-	return o.multiInsertSorted(t, s, h)
+	return o.multiInsertSorted(t, o.sortedBatch(items, h), h)
 }
 
+// multiInsertSorted merges a sorted, deduplicated batch s into t
+// (consumed), forking while forkBatch allows.
 func (o *ops[K, V, A, T]) multiInsertSorted(t *node[K, V, A], s []Entry[K, V], h func(old, new V) V) *node[K, V, A] {
+	return o.multiInsertRec(t, s, h, true)
+}
+
+// multiInsertRec is multiInsertSorted's recursion. mayFork is false
+// once an ancestor call declined to fork: none of its subproblems fork
+// either (see forkBatch), so they recurse with plain calls and never
+// test the rule again.
+func (o *ops[K, V, A, T]) multiInsertRec(t *node[K, V, A], s []Entry[K, V], h func(old, new V) V, mayFork bool) *node[K, V, A] {
 	if t == nil {
 		return o.buildSorted(s)
 	}
@@ -115,37 +126,53 @@ func (o *ops[K, V, A, T]) multiInsertSorted(t *node[K, V, A], s []Entry[K, V], h
 		}
 		right = pos + 1
 	}
-	var nl, nr *node[K, V, A]
-	parallel.DoIf(o.forkBatch(len(s), size(t)),
-		func() { nl = o.multiInsertSorted(l, s[:pos], h) },
-		func() { nr = o.multiInsertSorted(r, s[right:], h) },
-	)
+	if mayFork && o.forkBatch(len(s), size(t)) {
+		var nl, nr *node[K, V, A]
+		fo := o.forked()
+		parallel.Do(
+			func() { nl = o.multiInsertRec(l, s[:pos], h, true) },
+			func() { nr = fo.multiInsertRec(r, s[right:], h, true) },
+		)
+		return o.join(nl, t, nr)
+	}
+	nl := o.multiInsertRec(l, s[:pos], h, false)
+	nr := o.multiInsertRec(r, s[right:], h, false)
 	return o.join(nl, t, nr)
 }
 
 // forkBatch reports whether a batch of m sorted keys against an
 // n-entry subtree is worth forking over: its work, m·log2(n/m+1)
-// (Table 2), exceeds the grain. The work shrinks with both m and n, so
-// once a batch stops forking, none of its subproblems fork either.
+// (Table 2), exceeds the grain (and, as for forks, there is a second
+// worker). The work shrinks with both m and n, so once a batch stops
+// forking, none of its subproblems fork either: the recursions pass a
+// declined fork down as mayFork and test the rule only on the forking
+// path.
 func (o *ops[K, V, A, T]) forkBatch(m int, n int64) bool {
 	w := float64(m) * math.Log2(float64(n)/float64(m)+1)
-	return w > float64(o.grainSize())
+	return w > float64(o.grainSize()) && parallel.Parallelism() > 1
 }
 
 // leafMergeSorted merges a sorted, deduplicated batch into a leaf block
 // (consumed), rebuilding the region as blocks when it overflows.
 // Collisions combine as h(block value, batch value); nil h overwrites.
+// A packed block is decoded into the tail of the merge buffer rather
+// than into a copy of its own: the merge writes index i+j, which stays
+// below the read index len(s)+i until the batch runs out, so one
+// forward loop serves both layouts in place.
 func (o *ops[K, V, A, T]) leafMergeSorted(t *node[K, V, A], s []Entry[K, V], h func(old, new V) V) *node[K, V, A] {
-	items := o.leafRead(t)
-	merged := make([]Entry[K, V], 0, len(items)+len(s))
-	i, j := 0, 0
+	merged := make([]Entry[K, V], len(s)+leafLen(t))
+	items := t.items
+	if items == nil {
+		items = o.leafAppendTo(merged[len(s):len(s)], t)
+	}
+	i, j, w := 0, 0, 0
 	for i < len(items) && j < len(s) {
 		switch {
 		case o.tr.Less(items[i].Key, s[j].Key):
-			merged = append(merged, items[i])
+			merged[w] = items[i]
 			i++
 		case o.tr.Less(s[j].Key, items[i].Key):
-			merged = append(merged, s[j])
+			merged[w] = s[j]
 			j++
 		default:
 			e := items[i]
@@ -154,22 +181,25 @@ func (o *ops[K, V, A, T]) leafMergeSorted(t *node[K, V, A], s []Entry[K, V], h f
 			} else {
 				e.Val = s[j].Val
 			}
-			merged = append(merged, e)
+			merged[w] = e
 			i++
 			j++
 		}
+		w++
 	}
-	merged = append(merged, items[i:]...)
-	merged = append(merged, s[j:]...)
+	w += copy(merged[w:], items[i:])
+	w += copy(merged[w:], s[j:])
+	merged = merged[:w]
+	hint := packHintOf(t)
 	o.dec(t)
 	b := o.blockSize()
 	switch {
 	case len(merged) <= b:
-		return o.mkLeafOwned(merged)
+		return o.mkLeafSized(merged, hint)
 	case len(merged) <= 2*b+1:
 		// The common overflow (a block plus a batch tail): slice the
 		// owned merged array into two blocks without another copy.
-		return o.twoBlockNode(merged)
+		return o.twoBlockNode(merged, hint)
 	default:
 		return o.buildSorted(merged)
 	}
@@ -181,48 +211,33 @@ func (o *ops[K, V, A, T]) multiDelete(t *node[K, V, A], keys []K) *node[K, V, A]
 	if len(keys) == 0 {
 		return t
 	}
+	tr := o.tr // not o: see sortedBatch
 	s := make([]K, len(keys))
 	copy(s, keys)
-	seq.Sort(s, o.tr.Less)
+	seq.Sort(s, tr.Less)
 	s = seq.DedupSortedBy(s,
-		func(a, b K) bool { return !o.tr.Less(a, b) && !o.tr.Less(b, a) },
+		func(a, b K) bool { return !tr.Less(a, b) && !tr.Less(b, a) },
 		func(acc, _ K) K { return acc })
 	return o.multiDeleteSorted(t, s)
 }
 
+// multiDeleteSorted removes a sorted, deduplicated batch of keys from t
+// (consumed), forking while forkBatch allows.
 func (o *ops[K, V, A, T]) multiDeleteSorted(t *node[K, V, A], s []K) *node[K, V, A] {
+	return o.multiDeleteRec(t, s, true)
+}
+
+// multiDeleteRec is multiDeleteSorted's recursion; mayFork is as in
+// multiInsertRec.
+func (o *ops[K, V, A, T]) multiDeleteRec(t *node[K, V, A], s []K, mayFork bool) *node[K, V, A] {
 	if t == nil || len(s) == 0 {
 		return t
 	}
 	if isLeaf(t) {
-		doomed := func(e Entry[K, V]) bool {
-			pos := seq.LowerBound(s, e.Key, o.tr.Less)
-			return pos < len(s) && !o.tr.Less(e.Key, s[pos])
-		}
-		// Allocation-free scan first: most visited blocks contain no
-		// batch key at all and are returned untouched.
-		first, at := -1, 0
-		o.leafScanRange(t, 0, leafLen(t), func(e Entry[K, V]) bool {
-			if doomed(e) {
-				first = at
-				return false
-			}
-			at++
-			return true
+		return o.leafFilter(t, func(k K, _ V) bool {
+			pos := seq.LowerBound(s, k, o.tr.Less)
+			return pos == len(s) || o.tr.Less(k, s[pos])
 		})
-		if first < 0 {
-			return t
-		}
-		items := o.leafRead(t)
-		kept := make([]Entry[K, V], 0, len(items)-1)
-		kept = append(kept, items[:first]...)
-		for _, e := range items[first+1:] {
-			if !doomed(e) {
-				kept = append(kept, e)
-			}
-		}
-		o.dec(t)
-		return o.mkLeafOwned(kept)
 	}
 	pos := seq.LowerBound(s, t.key, o.tr.Less)
 	found := pos < len(s) && !o.tr.Less(t.key, s[pos])
@@ -230,20 +245,17 @@ func (o *ops[K, V, A, T]) multiDeleteSorted(t *node[K, V, A], s []K) *node[K, V,
 	if found {
 		right = pos + 1
 	}
-	var l, r *node[K, V, A]
-	if found {
-		l, r = o.detach(t)
-	} else {
-		t = o.mutable(t)
-		l, r = t.left, t.right
+	m, l, r := o.exposeIf(t, !found)
+	if mayFork && o.forkBatch(len(s), size(l)+size(r)) {
+		var nl, nr *node[K, V, A]
+		fo := o.forked()
+		parallel.Do(
+			func() { nl = o.multiDeleteRec(l, s[:pos], true) },
+			func() { nr = fo.multiDeleteRec(r, s[right:], true) },
+		)
+		return o.joinMid(nl, m, nr)
 	}
-	var nl, nr *node[K, V, A]
-	parallel.DoIf(o.forkBatch(len(s), size(l)+size(r)),
-		func() { nl = o.multiDeleteSorted(l, s[:pos]) },
-		func() { nr = o.multiDeleteSorted(r, s[right:]) },
-	)
-	if found {
-		return o.join2(nl, nr)
-	}
-	return o.join(nl, t, nr)
+	nl := o.multiDeleteRec(l, s[:pos], false)
+	nr := o.multiDeleteRec(r, s[right:], false)
+	return o.joinMid(nl, m, nr)
 }

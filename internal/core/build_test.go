@@ -220,6 +220,65 @@ func TestBulkForkRule(t *testing.T) {
 	}
 }
 
+// TestBulkAllocs holds the shape of a serve shard flush to the
+// allocations it needs: a 64-key MultiInsert of fresh keys, or
+// MultiDelete of present keys, into a 64k-entry tree allocates the nodes
+// it copies (Stats.Allocated) plus a few objects per batch key, the
+// merge buffer and the byte strings of the blocks it packs. Closures
+// built where the recursion does not fork, a decoded copy of each packed
+// block and append growth while packing each cost several more per key.
+// The recursion runs below the grain, so parallelism 2 must allocate as
+// parallelism 1 does.
+func TestBulkAllocs(t *testing.T) {
+	old := parallel.Parallelism()
+	defer parallel.SetParallelism(old)
+
+	const n, m = 1 << 16, 64
+	base := make([]Entry[int, int64], n)
+	for i := range base {
+		base[i] = Entry[int, int64]{Key: 4 * i, Val: int64(i)}
+	}
+	fresh, present := make([]Entry[int, int64], m), make([]int, m)
+	for i := range fresh {
+		k := 4 * (i * (n / m))
+		fresh[i] = Entry[int, int64]{Key: k + 1, Val: int64(-k)}
+		present[i] = k
+	}
+	for _, leaves := range []struct {
+		name   string
+		comp   any
+		perKey float64
+	}{
+		{"flat", nil, 4},
+		{"compressed", testComp{}, 8},
+	} {
+		st := &Stats{}
+		tr := New[int, int64, int64, sumTraits](Config{Stats: st, Compress: leaves.comp}).BuildSorted(base)
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"insert", func() { tr.MultiInsert(fresh, nil) }},
+			{"delete", func() { tr.MultiDelete(present) }},
+		} {
+			for _, p := range []int{1, 2} {
+				parallel.SetParallelism(p)
+				const runs = 20
+				st.Reset()
+				allocs := testing.AllocsPerRun(runs, op.run)
+				nodes := float64(st.Allocated.Load()) / (runs + 1) // AllocsPerRun adds a warm-up call
+				if perKey := (allocs - nodes) / m; perKey > leaves.perKey {
+					t.Errorf("%s %s at parallelism %d: %.0f allocations for %.0f nodes, %.1f per batch key, want at most %.0f",
+						leaves.name, op.name, p, allocs, nodes, perKey, leaves.perKey)
+				} else {
+					t.Logf("%s %s at parallelism %d: %.0f allocations for %.0f nodes, %.1f per batch key",
+						leaves.name, op.name, p, allocs, nodes, perKey)
+				}
+			}
+		}
+	}
+}
+
 func TestMultiInsertEquivalentToUnionBuild(t *testing.T) {
 	forAllSchemes(t, func(t *testing.T, sch Scheme) {
 		rng := rand.New(rand.NewSource(24))

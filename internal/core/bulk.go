@@ -49,13 +49,25 @@ func (o *ops[K, V, A, T]) union(t1, t2 *node[K, V, A], h func(v1, v2 V) V) *node
 	if s.found && h != nil {
 		t2.val = h(s.v, t2.val)
 	}
-	var l, r *node[K, V, A]
-	big := size(s.l)+size(l2) > o.grainSize() || size(s.r)+size(r2) > o.grainSize()
-	parallel.DoIf(big,
-		func() { l = o.union(s.l, l2, h) },
-		func() { r = o.union(s.r, r2, h) },
-	)
+	if o.forkSplit(s, l2, r2) {
+		var l, r *node[K, V, A]
+		fo := o.forked()
+		parallel.Do(
+			func() { l = o.union(s.l, l2, h) },
+			func() { r = fo.union(s.r, r2, h) },
+		)
+		return o.join(l, t2, r)
+	}
+	l := o.union(s.l, l2, h)
+	r := o.union(s.r, r2, h)
 	return o.join(l, t2, r)
+}
+
+// forkSplit reports whether the two halves of a split step, s's sides
+// against a node's children l2 and r2, are worth forking over: either
+// side exceeds the grain.
+func (o *ops[K, V, A, T]) forkSplit(s splitOut[K, V, A], l2, r2 *node[K, V, A]) bool {
+	return o.forks(size(s.l)+size(l2)) || o.forks(size(s.r)+size(r2))
 }
 
 // intersect keeps the keys present in both t1 and t2 (both consumed),
@@ -98,24 +110,23 @@ func (o *ops[K, V, A, T]) intersect(t1, t2 *node[K, V, A], h func(v1, v2 V) V) *
 		o.dec(t2)
 		return o.mkLeafOwned(kept)
 	}
-	t2 = o.mutable(t2)
-	l2, r2 := t2.left, t2.right
-	t2.left, t2.right = nil, nil
 	s := o.split(t1, t2.key)
-	var l, r *node[K, V, A]
-	big := size(s.l)+size(l2) > o.grainSize() || size(s.r)+size(r2) > o.grainSize()
-	parallel.DoIf(big,
-		func() { l = o.intersect(s.l, l2, h) },
-		func() { r = o.intersect(s.r, r2, h) },
-	)
-	if s.found {
-		if h != nil {
-			t2.val = h(s.v, t2.val)
-		}
-		return o.join(l, t2, r)
+	m, l2, r2 := o.exposeIf(t2, s.found)
+	if s.found && h != nil {
+		m.val = h(s.v, m.val)
 	}
-	o.dec(t2)
-	return o.join2(l, r)
+	if o.forkSplit(s, l2, r2) {
+		var l, r *node[K, V, A]
+		fo := o.forked()
+		parallel.Do(
+			func() { l = o.intersect(s.l, l2, h) },
+			func() { r = fo.intersect(s.r, r2, h) },
+		)
+		return o.joinMid(l, m, r)
+	}
+	l := o.intersect(s.l, l2, h)
+	r := o.intersect(s.r, r2, h)
+	return o.joinMid(l, m, r)
 }
 
 // difference keeps the entries of t1 whose keys are absent from t2 (both
@@ -153,11 +164,16 @@ func (o *ops[K, V, A, T]) difference(t1, t2 *node[K, V, A]) *node[K, V, A] {
 	k2 := t2.key
 	l2, r2 := o.detach(t2)
 	s := o.split(t1, k2)
-	var l, r *node[K, V, A]
-	big := size(s.l)+size(l2) > o.grainSize() || size(s.r)+size(r2) > o.grainSize()
-	parallel.DoIf(big,
-		func() { l = o.difference(s.l, l2) },
-		func() { r = o.difference(s.r, r2) },
-	)
+	if o.forkSplit(s, l2, r2) {
+		var l, r *node[K, V, A]
+		fo := o.forked()
+		parallel.Do(
+			func() { l = o.difference(s.l, l2) },
+			func() { r = fo.difference(s.r, r2) },
+		)
+		return o.join2(l, r)
+	}
+	l := o.difference(s.l, l2)
+	r := o.difference(s.r, r2)
 	return o.join2(l, r)
 }

@@ -33,9 +33,15 @@ import (
 //     O(B) walk replaces the binary search, which is the PaC-trees
 //     trade: B is small (32) and the walk is branch-predictable over
 //     one cache-resident byte string.
-//   - Mutations decode the block into a scratch slice, edit it, and
-//     re-encode on the copy-on-write path (rebuildLeaf); an exclusively
-//     owned node reuses its packed buffer in place.
+//   - Bulk updates read the block once and pack the result once. A
+//     batch merge (leafMergeSorted) decodes the block into the tail of
+//     its merge buffer and merges forward in place; a delete or filter
+//     (leafFilter) collects the kept entries through packedCursor. The
+//     new byte string is sized from the old block's bytes per entry
+//     (packHint), so it is allocated once in the common case.
+//   - Single-entry mutations decode the block into a scratch slice,
+//     edit it, and re-encode on the copy-on-write path (rebuildLeaf);
+//     an exclusively owned node reuses its packed buffer in place.
 //
 // The payload layout of one packed block:
 //

@@ -13,30 +13,28 @@ func (o *ops[K, V, A, T]) filter(t *node[K, V, A], pred func(k K, v V) bool) *no
 	if isLeaf(t) {
 		return o.leafFilter(t, pred)
 	}
-	keep := pred(t.key, t.val)
 	sz := t.size
-	var l, r *node[K, V, A]
-	if keep {
-		t = o.mutable(t)
-		l, r = t.left, t.right
-		t.left, t.right = nil, nil
-	} else {
-		l, r = o.detach(t)
+	m, l, r := o.exposeIf(t, pred(t.key, t.val))
+	if o.forks(sz) {
+		var nl, nr *node[K, V, A]
+		fo := o.forked()
+		parallel.Do(
+			func() { nl = o.filter(l, pred) },
+			func() { nr = fo.filter(r, pred) },
+		)
+		return o.joinMid(nl, m, nr)
 	}
-	var nl, nr *node[K, V, A]
-	parallel.DoIf(sz > o.grainSize(),
-		func() { nl = o.filter(l, pred) },
-		func() { nr = o.filter(r, pred) },
-	)
-	if keep {
-		return o.join(nl, t, nr)
-	}
-	return o.join2(nl, nr)
+	nl := o.filter(l, pred)
+	nr := o.filter(r, pred)
+	return o.joinMid(nl, m, nr)
 }
 
 // leafFilter keeps the block entries satisfying pred (t consumed). The
 // keep-everything case — the common one under selective AugFilter
-// pruning — is detected by an allocation-free scan first.
+// pruning and for a delete batch that misses the block — is detected by
+// an allocation-free scan first. The kept entries are then collected in
+// a second scan, which walks a packed block through its cursor rather
+// than a decoded copy.
 func (o *ops[K, V, A, T]) leafFilter(t *node[K, V, A], pred func(k K, v V) bool) *node[K, V, A] {
 	first, at := -1, 0
 	o.leafScanRange(t, 0, leafLen(t), func(e Entry[K, V]) bool {
@@ -50,16 +48,18 @@ func (o *ops[K, V, A, T]) leafFilter(t *node[K, V, A], pred func(k K, v V) bool)
 	if first < 0 {
 		return t
 	}
-	items := o.leafRead(t)
-	kept := make([]Entry[K, V], 0, len(items)-1)
-	kept = append(kept, items[:first]...)
-	for _, e := range items[first+1:] {
-		if pred(e.Key, e.Val) {
+	kept := make([]Entry[K, V], 0, leafLen(t)-1)
+	at = 0
+	o.leafScanRange(t, 0, leafLen(t), func(e Entry[K, V]) bool {
+		if at < first || (at > first && pred(e.Key, e.Val)) {
 			kept = append(kept, e)
 		}
-	}
+		at++
+		return true
+	})
+	hint := packHintOf(t)
 	o.dec(t)
-	return o.mkLeafOwned(kept)
+	return o.mkLeafSized(kept, hint)
 }
 
 // augFilter is filter for predicates expressed on augmented values
@@ -68,8 +68,7 @@ func (o *ops[K, V, A, T]) leafFilter(t *node[K, V, A], pred func(k K, v V) bool)
 // matching entries and is discarded wholesale. O(k·log(n/k + 1)) work
 // for k results, O(log^2 n) span.
 func (o *ops[K, V, A, T]) augFilter(t *node[K, V, A], h func(a A) bool) *node[K, V, A] {
-	hv := func(k K, v V) bool { return h(o.tr.Base(k, v)) }
-	return o.augFilterPred(t, h, nil, hv)
+	return o.augFilter2(t, h, nil)
 }
 
 // augFilter2 is augFilter with an additional take-all test (footnote 3
@@ -79,12 +78,8 @@ func (o *ops[K, V, A, T]) augFilter(t *node[K, V, A], h func(a A) bool) *node[K,
 // regions cost O(1) each instead of O(size). hAll may be nil (no
 // take-all pruning); when non-nil it must satisfy
 // hAll(f(a,b)) == hAll(a) && hAll(b).
+// An entry is kept when hAny holds on its Base value.
 func (o *ops[K, V, A, T]) augFilter2(t *node[K, V, A], hAny, hAll func(a A) bool) *node[K, V, A] {
-	hv := func(k K, v V) bool { return hAny(o.tr.Base(k, v)) }
-	return o.augFilterPred(t, hAny, hAll, hv)
-}
-
-func (o *ops[K, V, A, T]) augFilterPred(t *node[K, V, A], hAny, hAll func(a A) bool, entryPred func(K, V) bool) *node[K, V, A] {
 	if t == nil {
 		return nil
 	}
@@ -96,25 +91,20 @@ func (o *ops[K, V, A, T]) augFilterPred(t *node[K, V, A], hAny, hAll func(a A) b
 		return t // take the whole subtree, keeping the reference
 	}
 	if isLeaf(t) {
-		return o.leafFilter(t, entryPred)
+		return o.leafFilter(t, func(k K, v V) bool { return hAny(o.tr.Base(k, v)) })
 	}
-	keep := entryPred(t.key, t.val)
 	sz := t.size
-	var l, r *node[K, V, A]
-	if keep {
-		t = o.mutable(t)
-		l, r = t.left, t.right
-		t.left, t.right = nil, nil
-	} else {
-		l, r = o.detach(t)
+	m, l, r := o.exposeIf(t, hAny(o.tr.Base(t.key, t.val)))
+	if o.forks(sz) {
+		var nl, nr *node[K, V, A]
+		fo := o.forked()
+		parallel.Do(
+			func() { nl = o.augFilter2(l, hAny, hAll) },
+			func() { nr = fo.augFilter2(r, hAny, hAll) },
+		)
+		return o.joinMid(nl, m, nr)
 	}
-	var nl, nr *node[K, V, A]
-	parallel.DoIf(sz > o.grainSize(),
-		func() { nl = o.augFilterPred(l, hAny, hAll, entryPred) },
-		func() { nr = o.augFilterPred(r, hAny, hAll, entryPred) },
-	)
-	if keep {
-		return o.join(nl, t, nr)
-	}
-	return o.join2(nl, nr)
+	nl := o.augFilter2(l, hAny, hAll)
+	nr := o.augFilter2(r, hAny, hAll)
+	return o.joinMid(nl, m, nr)
 }

@@ -201,6 +201,15 @@ func (o *ops[K, V, A, T]) leafWithout(t *node[K, V, A], i int) *node[K, V, A] {
 	return t
 }
 
+// joinMid is join around m, or join2 when m is nil: the recombination
+// of a recursion that keeps or drops its root entry.
+func (o *ops[K, V, A, T]) joinMid(l, m, r *node[K, V, A]) *node[K, V, A] {
+	if m == nil {
+		return o.join2(l, r)
+	}
+	return o.join(l, m, r)
+}
+
 // join2 composes two trees without a middle entry (max(l) < min(r)).
 func (o *ops[K, V, A, T]) join2(l, r *node[K, V, A]) *node[K, V, A] {
 	if l == nil {

@@ -40,10 +40,16 @@ func (o *ops[K, V, A, T]) fillSlice(t *node[K, V, A], out []Entry[K, V]) {
 	}
 	ls := size(t.left)
 	out[ls] = Entry[K, V]{Key: t.key, Val: t.val}
-	parallel.DoIf(t.size > o.grainSize(),
-		func() { o.fillSlice(t.left, out[:ls]) },
-		func() { o.fillSlice(t.right, out[ls+1:]) },
-	)
+	if o.forks(t.size) {
+		fo := o.forked()
+		parallel.Do(
+			func() { o.fillSlice(t.left, out[:ls]) },
+			func() { fo.fillSlice(t.right, out[ls+1:]) },
+		)
+		return
+	}
+	o.fillSlice(t.left, out[:ls])
+	o.fillSlice(t.right, out[ls+1:])
 }
 
 // keys materializes the keys in order, in parallel. Borrows t.
@@ -68,10 +74,16 @@ func (o *ops[K, V, A, T]) fillKeys(t *node[K, V, A], out []K) {
 	}
 	ls := size(t.left)
 	out[ls] = t.key
-	parallel.DoIf(t.size > o.grainSize(),
-		func() { o.fillKeys(t.left, out[:ls]) },
-		func() { o.fillKeys(t.right, out[ls+1:]) },
-	)
+	if o.forks(t.size) {
+		fo := o.forked()
+		parallel.Do(
+			func() { o.fillKeys(t.left, out[:ls]) },
+			func() { fo.fillKeys(t.right, out[ls+1:]) },
+		)
+		return
+	}
+	o.fillKeys(t.left, out[:ls])
+	o.fillKeys(t.right, out[ls+1:])
 }
 
 // mapValues rebuilds t (consumed) with values fn(k, v). The tree shape is
@@ -96,14 +108,20 @@ func (o *ops[K, V, A, T]) mapValues(t *node[K, V, A], fn func(k K, v V) V) *node
 		t.aug = o.leafAug(t.items)
 		return t
 	}
-	l, r := t.left, t.right
-	var nl, nr *node[K, V, A]
-	parallel.DoIf(t.size > o.grainSize(),
-		func() { nl = o.mapValues(l, fn) },
-		func() { nr = o.mapValues(r, fn) },
-	)
+	if o.forks(t.size) {
+		l, r := t.left, t.right
+		var nl, nr *node[K, V, A]
+		fo := o.forked()
+		parallel.Do(
+			func() { nl = o.mapValues(l, fn) },
+			func() { nr = fo.mapValues(r, fn) },
+		)
+		t.left, t.right = nl, nr
+	} else {
+		t.left = o.mapValues(t.left, fn)
+		t.right = o.mapValues(t.right, fn)
+	}
 	t.val = fn(t.key, t.val)
-	t.left, t.right = nl, nr
 	o.update(t)
 	return t
 }
@@ -125,10 +143,16 @@ func mapReduceNode[K, V, A, B any, T Traits[K, V, A]](o *ops[K, V, A, T], t *nod
 		})
 		return acc
 	}
-	var lv, rv B
-	parallel.DoIf(t.size > o.grainSize(),
-		func() { lv = mapReduceNode(o, t.left, g, f, id) },
-		func() { rv = mapReduceNode(o, t.right, g, f, id) },
-	)
+	if o.forks(t.size) {
+		var lv, rv B
+		fo := o.forked()
+		parallel.Do(
+			func() { lv = mapReduceNode(o, t.left, g, f, id) },
+			func() { rv = mapReduceNode(fo, t.right, g, f, id) },
+		)
+		return f(lv, f(g(t.key, t.val), rv))
+	}
+	lv := mapReduceNode(o, t.left, g, f, id)
+	rv := mapReduceNode(o, t.right, g, f, id)
 	return f(lv, f(g(t.key, t.val), rv))
 }

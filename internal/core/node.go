@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sync/atomic"
 
+	"repro/internal/parallel"
 	"repro/internal/seq"
 )
 
@@ -101,6 +104,12 @@ type ops[K, V, A any, T Traits[K, V, A]] struct {
 // forks only while m·log2(n/m+1) exceeds the grain, so a small batch
 // into a large tree (64 keys into 256k entries: work 768) runs
 // sequentially, while a 16k-key batch into the same tree still forks.
+// A call that declines to fork passes the decision down, so the
+// sequential levels below it do not test the rule again.
+//
+// Below the grain, and at parallelism 1, every bulk recursion makes two
+// plain calls: closures (and the results they write) are built only on
+// the branch that forks.
 const DefaultGrain = 1024
 
 // DefaultBlock is the default leaf block size B. PaC-trees report the
@@ -115,6 +124,23 @@ func (o *ops[K, V, A, T]) grainSize() int64 {
 		return o.grain
 	}
 	return DefaultGrain
+}
+
+// forks reports whether a bulk recursion forks over a subproblem of n
+// entries: n exceeds the grain and there is a second worker to fork to.
+// At parallelism 1 parallel.Do would run both halves in turn, so the
+// recursion makes two plain calls instead of building Do's closures.
+func (o *ops[K, V, A, T]) forks(n int64) bool {
+	return n > o.grainSize() && parallel.Parallelism() > 1
+}
+
+// forked returns a copy of o for the half of a fork that parallel.Do may
+// run on another goroutine. What that closure captures moves to the
+// heap; were it o itself, o (and the Tree handle it is embedded in)
+// would move there on every call, forked or not.
+func (o *ops[K, V, A, T]) forked() *ops[K, V, A, T] {
+	c := *o
+	return &c
 }
 
 func (o *ops[K, V, A, T]) blockSize() int {
@@ -206,6 +232,12 @@ func (o *ops[K, V, A, T]) leafAug(items []Entry[K, V]) A {
 // With a Compressor configured the entries are packed into a byte
 // string instead and the slice is released to the GC.
 func (o *ops[K, V, A, T]) mkLeafOwned(items []Entry[K, V]) *node[K, V, A] {
+	return o.mkLeafSized(items, packHint{})
+}
+
+// mkLeafSized is mkLeafOwned with a sizing hint for the packed byte
+// string, which is then allocated once in the common case.
+func (o *ops[K, V, A, T]) mkLeafSized(items []Entry[K, V], hint packHint) *node[K, V, A] {
 	if len(items) == 0 {
 		return nil
 	}
@@ -214,10 +246,11 @@ func (o *ops[K, V, A, T]) mkLeafOwned(items []Entry[K, V]) *node[K, V, A] {
 		o.stats.LeafAllocated.Add(1)
 	}
 	if o.comp != nil {
-		p := o.packLeafInto(nil, items)
-		// Right-size: append growth can leave the buffer mostly slack,
-		// which defeats the point of packing. (rebuildLeaf deliberately
-		// keeps its reused buffer's capacity — mutation churn wants it.)
+		p := o.packLeafInto(make([]byte, 0, o.packCap(items, hint)), items)
+		// Right-size when the estimate fell short (append grew the
+		// buffer) or overshot: slack defeats the point of packing.
+		// (rebuildLeaf deliberately keeps its reused buffer's capacity
+		// — mutation churn wants it.)
 		if cap(p)-len(p) > len(p)/8 {
 			p = append(make([]byte, 0, len(p)), p...)
 		}
@@ -230,6 +263,40 @@ func (o *ops[K, V, A, T]) mkLeafOwned(items []Entry[K, V]) *node[K, V, A] {
 	n.aux = o.leafAux()
 	return n
 }
+
+// packHint sizes the byte string of a leaf block about to be packed.
+// Taken from the block the new one replaces (packHintOf), it carries the
+// bytes that block spends past its count and anchor key, and its entry
+// count; the zero hint sizes from the entry count alone.
+type packHint struct{ body, n int }
+
+// packHintOf returns the sizing hint of a borrowed leaf t (the zero
+// hint for a flat leaf, whose family packs nothing).
+func packHintOf[K, V, A any](t *node[K, V, A]) packHint {
+	if t.packed == nil {
+		return packHint{}
+	}
+	_, c := binary.Uvarint(t.packed)
+	_, a := binary.Uvarint(t.packed[c:])
+	return packHint{body: len(t.packed) - c - a, n: leafLen(t)}
+}
+
+// packedEntryGuess is the bytes per entry the zero packHint assumes: a
+// one- or two-byte key delta and a short value.
+const packedEntryGuess = 4
+
+// packCap estimates the packed length of items: its count and anchor
+// key exactly, the rest at the hinted bytes per entry.
+func (o *ops[K, V, A, T]) packCap(items []Entry[K, V], hint packHint) int {
+	head := uvarintLen(uint64(len(items))) + uvarintLen(o.comp.KeyUint(items[0].Key))
+	if hint.n == 0 {
+		return head + len(items)*packedEntryGuess
+	}
+	return head + (hint.body*len(items)+hint.n-1)/hint.n
+}
+
+// uvarintLen is the length of the uvarint encoding of u.
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // mkLeafCopy is mkLeafOwned over a private copy of items (for borrowed
 // input slices). Compressed families skip the intermediate copy —
@@ -379,6 +446,22 @@ func (o *ops[K, V, A, T]) detach(t *node[K, V, A]) (l, r *node[K, V, A]) {
 	return l, r
 }
 
+// exposeIf takes an owned interior node apart for a recursion that
+// keeps its entry or drops it. The caller owns the returned children.
+// When keep, m is t made mutable, with its child links cleared, to be
+// joined back as the middle; otherwise t is released as by detach and
+// m is nil.
+func (o *ops[K, V, A, T]) exposeIf(t *node[K, V, A], keep bool) (m, l, r *node[K, V, A]) {
+	if !keep {
+		l, r = o.detach(t)
+		return nil, l, r
+	}
+	m = o.mutable(t)
+	l, r = m.left, m.right
+	m.left, m.right = nil, nil
+	return m, l, r
+}
+
 // Ownership discipline (mirrors PAM's reference-counting GC):
 //
 //   - Functions that *consume* a tree argument receive one reference and
@@ -426,12 +509,13 @@ func (o *ops[K, V, A, T]) gather(t *node[K, V, A], buf []Entry[K, V]) []Entry[K,
 // entries, without re-copying: the blocks are backed by disjoint
 // subslices of all, capacity-clamped so a later in-place grow of either
 // block reallocates instead of crossing into its sibling's region.
-func (o *ops[K, V, A, T]) twoBlockNode(all []Entry[K, V]) *node[K, V, A] {
+// hint sizes both packed blocks (see mkLeafSized).
+func (o *ops[K, V, A, T]) twoBlockNode(all []Entry[K, V], hint packHint) *node[K, V, A] {
 	mid := len(all) / 2
 	n := o.mkNode(
-		o.mkLeafOwned(all[:mid:mid]),
+		o.mkLeafSized(all[:mid:mid], hint),
 		all[mid].Key, all[mid].Val,
-		o.mkLeafOwned(all[mid+1:len(all):len(all)]),
+		o.mkLeafSized(all[mid+1:len(all):len(all)], hint),
 	)
 	if o.sch == RedBlack {
 		n.aux = rbMake(2, false) // black root over two bh-1 blocks

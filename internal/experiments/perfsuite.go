@@ -98,9 +98,14 @@ func runPerfSuite() []BenchResult {
 
 	// A small batch into a large map, the shape of a serve shard flush: a
 	// 64-key MultiInsert of fresh keys into m1. Its work, m·log2(n/m+1),
-	// is under the grain, so it runs without a fork at any parallelism.
-	// Each fork allocates a closure and a WaitGroup, so allocs/op shows
-	// forks coming back even where ns/op is noise.
+	// is under the grain, so it runs without a fork at any parallelism,
+	// and allocates only the path nodes it copies and the blocks it
+	// rebuilds. A fork costs a goroutine, a WaitGroup and two closures,
+	// and a closure built where nothing forks costs one too, so allocs/op
+	// shows either coming back even where ns/op is noise.
+	// multiinsert_small_compressed runs the same batch into a compressed
+	// copy of m1, as a kv shard flush does: it adds the packed blocks'
+	// merge and re-encode.
 	small := make([]pam.KV[uint64, int64], 64)
 	for i := range small {
 		k := uint64(i) * (2 * coreN / uint64(len(small)))
@@ -119,6 +124,13 @@ func runPerfSuite() []BenchResult {
 		}))
 		parallel.SetParallelism(old)
 	}
+	m1c := pam.NewAugMap[uint64, int64, int64, pam.SumEntry[uint64, int64]](pam.Options{Compress: pam.CompressUint64()}).
+		Build(items, add)
+	out = append(out, bench("multiinsert_small_compressed", coreN, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = m1c.MultiInsert(small, nil)
+		}
+	}))
 
 	out = append(out, bench("find", coreN, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

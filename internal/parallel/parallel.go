@@ -11,9 +11,11 @@
 //     in-flight forked goroutines so that nested recursive forking (the
 //     shape of every tree algorithm in this library) cannot explode into
 //     millions of goroutines; the Go scheduler's own work stealing
-//     balances the resulting tasks across Ps.
-//   - DoIf(cond, f, g) is Do with a granularity cutoff decided by the
-//     caller (typically "subtree size exceeds the grain").
+//     balances the resulting tasks across Ps. Granularity is the
+//     caller's: a tree algorithm calls Do only when its subproblem
+//     exceeds the grain and otherwise makes two plain calls, so that no
+//     closure is built where nothing forks (PAM's par_do_if passes
+//     stack lambdas; a Go closure handed to Do lives on the heap).
 //   - For(n, grain, body) is the cilk_for analogue: a blocked,
 //     recursively-split parallel loop. Its default grain has a floor of
 //     1024 items, so a loop over fewer items runs inline: a fork costs a
@@ -131,18 +133,6 @@ func Do(f, g func()) {
 	if gPanic != nil {
 		panic(gPanic)
 	}
-}
-
-// DoIf runs f and g, in parallel only when cond is true. It is the
-// granularity-control primitive: tree algorithms pass "subtree is larger
-// than the grain" as cond.
-func DoIf(cond bool, f, g func()) {
-	if cond {
-		Do(f, g)
-		return
-	}
-	f()
-	g()
 }
 
 // Do3 runs three tasks, possibly in parallel. It is used where the paper's

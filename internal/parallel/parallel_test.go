@@ -13,17 +13,6 @@ func TestDoRunsBoth(t *testing.T) {
 	}
 }
 
-func TestDoIfSequential(t *testing.T) {
-	order := make([]int, 0, 2)
-	// cond=false must run f then g on the calling goroutine, in order.
-	DoIf(false,
-		func() { order = append(order, 1) },
-		func() { order = append(order, 2) })
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("DoIf(false) ran out of order: %v", order)
-	}
-}
-
 func TestDoNested(t *testing.T) {
 	// Deep nested forking must neither deadlock nor lose tasks.
 	var count atomic.Int64

@@ -646,8 +646,10 @@ func TestDurablePointReopenAcrossFlushCap(t *testing.T) {
 
 // TestDurableWALDebrisAndDamage tells crash debris from damage at the
 // end of the newest WAL generation, on both flavours. Ten acknowledged
-// batches are reopened three ways. A flipped payload byte in the fifth
-// frame is damage: the open fails with ErrCorruptFile naming the file
+// batches are reopened four ways. A flipped payload byte in the fifth
+// frame is damage, and so is a flipped high byte of its length, which
+// makes the frame claim more bytes than the file holds while complete
+// frames follow it: the open fails with ErrCorruptFile naming the file
 // and the frame's offset, and leaves the bytes as they were. A file cut
 // inside its last frame is a torn write: the nine batches before it
 // recover and the tail is trimmed. Zeros after the last frame are
@@ -708,23 +710,31 @@ func TestDurableWALDebrisAndDamage(t *testing.T) {
 				}
 			}
 
-			t.Run("flip", func(t *testing.T) {
-				bad := bytes.Clone(wal)
-				bad[frames[5]-1] ^= 0x01 // the last payload byte of the fifth frame
-				d2, fs2, err := reopen(bad)
-				if err == nil {
-					_, got := d2.contents()
-					d2.Close()
-					t.Fatalf("reopen succeeded with %d of 10 entries", len(got))
-				}
-				if !errors.Is(err, ErrCorruptFile) || !strings.Contains(err.Error(), walName(0)) ||
-					!strings.Contains(err.Error(), fmt.Sprintf("byte %d", frames[4])) {
-					t.Fatalf("reopen = %v, want ErrCorruptFile naming %s at byte %d", err, walName(0), frames[4])
-				}
-				if got, _ := fs2.ReadFile(walName(0)); !bytes.Equal(got, bad) {
-					t.Fatal("the failed reopen changed the damaged file")
-				}
-			})
+			for _, dc := range []struct {
+				name string
+				at   int // the byte of the fifth frame that is flipped
+			}{
+				{"flip", frames[5] - 1},   // its last payload byte
+				{"length", frames[4] + 3}, // the high byte of its length
+			} {
+				t.Run(dc.name, func(t *testing.T) {
+					bad := bytes.Clone(wal)
+					bad[dc.at] ^= 0x01
+					d2, fs2, err := reopen(bad)
+					if err == nil {
+						_, got := d2.contents()
+						d2.Close()
+						t.Fatalf("reopen succeeded with %d of 10 entries", len(got))
+					}
+					if !errors.Is(err, ErrCorruptFile) || !strings.Contains(err.Error(), walName(0)) ||
+						!strings.Contains(err.Error(), fmt.Sprintf("byte %d", frames[4])) {
+						t.Fatalf("reopen = %v, want ErrCorruptFile naming %s at byte %d", err, walName(0), frames[4])
+					}
+					if got, _ := fs2.ReadFile(walName(0)); !bytes.Equal(got, bad) {
+						t.Fatal("the failed reopen changed the damaged file")
+					}
+				})
+			}
 			t.Run("torn", func(t *testing.T) { check(wal[:len(wal)-3], 9) })
 			t.Run("zeroed", func(t *testing.T) {
 				zeroed := append(bytes.Clone(wal), make([]byte, 64)...)

@@ -214,19 +214,12 @@ func verifyCkptStructure(data []byte, nextID *uint64, haveChain *bool) bool {
 // walDebris) is accepted (the newest generation after a crash without
 // recovery).
 func verifyWALFraming(data []byte, allowTorn bool) bool {
-	valid := 0
-	for {
-		rest := data[valid:]
-		if len(rest) == 0 {
-			return true
+	for valid := 0; valid < len(data); {
+		payload, ok := walFrame(data[valid:])
+		if !ok {
+			return allowTorn && walDebris(data[valid:])
 		}
-		if walDebris(rest) {
-			return allowTorn
-		}
-		plen := int(binary.LittleEndian.Uint32(rest))
-		if crc32.ChecksumIEEE(rest[8:8+plen]) != binary.LittleEndian.Uint32(rest[4:]) {
-			return false
-		}
-		valid += 8 + plen
+		valid += 8 + len(payload)
 	}
+	return true
 }

@@ -245,13 +245,8 @@ func decodeWALFile[O any](enc opCodec[O], data []byte) ([]walBatch[O], int) {
 	var out []walBatch[O]
 	valid := 0
 	for {
-		rest := data[valid:]
-		if walDebris(rest) {
-			return out, valid
-		}
-		plen := int(binary.LittleEndian.Uint32(rest))
-		payload := rest[8 : 8+plen]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:]) {
+		payload, ok := walFrame(data[valid:])
+		if !ok {
 			return out, valid
 		}
 		b, err := decodeWALPayload(enc, payload)
@@ -259,8 +254,22 @@ func decodeWALFile[O any](enc opCodec[O], data []byte) ([]walBatch[O], int) {
 			return out, valid
 		}
 		out = append(out, b)
-		valid += 8 + plen
+		valid += 8 + len(payload)
 	}
+}
+
+// walFrame returns the payload of the frame at the front of rest and
+// whether that frame is complete, non-empty and matches its checksum.
+func walFrame(rest []byte) ([]byte, bool) {
+	if len(rest) < 8 {
+		return nil, false
+	}
+	plen := binary.LittleEndian.Uint32(rest)
+	if plen == 0 || uint64(len(rest)-8) < uint64(plen) {
+		return nil, false
+	}
+	payload := rest[8 : 8+int(plen)]
+	return payload, crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(rest[4:])
 }
 
 // walDebris reports whether rest, the bytes of a WAL generation from
@@ -269,12 +278,26 @@ func decodeWALFile[O any](enc opCodec[O], data []byte) ([]walBatch[O], int) {
 // unwritten space, which starts with an all-zero header (the WAL never
 // writes an empty payload). A torn write lands a prefix, never a
 // complete frame with wrong bytes, so a complete frame that fails its
-// checksum or does not decode is damage.
+// checksum or does not decode is damage. Nor does a prefix hold a frame
+// after an incomplete one: when a checksummed frame starts anywhere
+// past the incomplete frame's header, its length field was damaged (a
+// flipped high bit makes a frame claim more bytes than the file holds),
+// and the acknowledged batches behind it must not be trimmed as debris.
+// A damaged length in the last frame of the file still reads as a torn
+// write: nothing follows it, and the header carries no check of its own.
 func walDebris(rest []byte) bool {
 	if len(rest) < 8 || binary.LittleEndian.Uint64(rest) == 0 {
 		return true
 	}
-	return uint64(len(rest)-8) < uint64(binary.LittleEndian.Uint32(rest))
+	if uint64(len(rest)-8) >= uint64(binary.LittleEndian.Uint32(rest)) {
+		return false
+	}
+	for off := 8; off < len(rest); off++ {
+		if _, ok := walFrame(rest[off:]); ok {
+			return false
+		}
+	}
+	return true
 }
 
 func decodeWALPayload[O any](enc opCodec[O], payload []byte) (walBatch[O], error) {

@@ -404,6 +404,9 @@ func (m Map) ReportStab(x, y float64) []Rect {
 		candidates := s.report.UpTo(Rect{XLo: x, XHi: pos, YLo: pos, YHi: pos})
 		hits := candidates.AugFilter(func(maxXHi float64) bool { return maxXHi >= x })
 		var out []Rect
+		if kx := hits.Size(); kx > 0 {
+			out = make([]Rect, 0, kx) // the matches are a subset of the kx hits
+		}
 		hits.ForEach(func(r Rect, _ struct{}) bool {
 			if r.YLo <= y && y <= r.YHi {
 				out = append(out, r)
